@@ -1,19 +1,20 @@
 // Observability overhead — the "free when off" contract.
 //
-// The obs layer's deal with the streaming stack is: bespoke stats structs
-// stay authoritative and cheap, and the registry forwarding they gained is
-// one null pointer check when unbound. This bench prices that promise on
-// the hottest instrumented path — StreamStats::Record, called once per
-// presented element by every sink — against a plain replica of the
-// pre-obs accounting with no forwarding members at all.
+// The obs layer's deal with the streaming stack is: each layer counts once,
+// in its own plain stats fields, which a registry reads by address when it
+// exports; the one instrument still pushed per element (the lateness
+// histogram) costs one null pointer check when unbound. This bench prices
+// that promise on the hottest instrumented path — StreamStats::Record,
+// called once per presented element by every sink — against a plain
+// replica of the pre-obs accounting with no registry members at all.
 //
 // Three variants, best-of-reps wall time (steady_clock is sanctioned in
 // bench/):
 //   plain     the old struct, re-declared locally: no obs members
 //   disabled  StreamStats unbound (the shipped default) — gate: <2% over
 //             plain
-//   enabled   StreamStats bound to a registry (counters + one histogram
-//             observe per element) — informational, not gated
+//   enabled   StreamStats bound to a registry (fields attached, one
+//             histogram observe per element) — informational, not gated
 // A checksum over the accumulated fields is consumed so the optimizer
 // cannot delete the loops.
 //
@@ -50,7 +51,7 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// The pre-obs StreamStats accounting, re-declared without the forwarding
+/// The pre-obs StreamStats accounting, re-declared without the registry
 /// members: the baseline the disabled path is gated against. Arithmetic is
 /// kept line-for-line identical so the measured delta is the null check,
 /// not a different loop body.

@@ -234,7 +234,6 @@ class FaultInjector {
     int64_t repair_crashes = 0;     ///< repairs that crashed the node
   };
   const Stats& stats() const { return stats_; }
-  void ResetStats() { stats_ = Stats(); }
 
  private:
   FaultSpec spec_;

@@ -33,17 +33,14 @@ void ReplicatedStore::EnsureHintSlots() {
 }
 
 void ReplicatedStore::UpdateHintGauge() {
-  if (pending_hints_gauge_ == nullptr) return;
-  int64_t pending = 0;
+  pending_hints_ = 0;
   for (const auto& queue : hints_) {
-    pending += static_cast<int64_t>(queue.size());
+    pending_hints_ += static_cast<int64_t>(queue.size());
   }
-  pending_hints_gauge_->Set(pending);
 }
 
 void ReplicatedStore::NoteBreakerOpen(int64_t idx, int64_t now_ns) {
   ++stats_.breaker_opens;
-  if (breaker_opens_counter_ != nullptr) breaker_opens_counter_->Increment();
   if (tracer_ != nullptr) {
     tracer_->EventAt(now_ns, "cluster", "breaker_open", name_,
                      replicas_->at(idx).server->name() + " opened by a write");
@@ -70,7 +67,6 @@ void ReplicatedStore::RecordHint(int64_t idx, const Hint& op) {
   }
   queue.push_back(op);
   ++stats_.hints_recorded;
-  if (handoff_hints_counter_ != nullptr) handoff_hints_counter_->Increment();
   UpdateHintGauge();
 }
 
@@ -197,7 +193,6 @@ Result<ReplicatedStore::WriteResult> ReplicatedStore::QuorumWrite(
       ack_latencies.push_back(latency);
       replica.health.RecordSuccess(latency);
       ++stats_.write_acks;
-      if (write_acks_counter_ != nullptr) write_acks_counter_->Increment();
     } else {
       if (replica.health.RecordFailure(start_ns + latency)) {
         NoteBreakerOpen(i, start_ns + latency);
@@ -210,9 +205,6 @@ Result<ReplicatedStore::WriteResult> ReplicatedStore::QuorumWrite(
   const int acks = static_cast<int>(ack_latencies.size());
   if (acks < policy_.write_quorum) {
     ++stats_.quorum_failures;
-    if (quorum_failures_counter_ != nullptr) {
-      quorum_failures_counter_->Increment();
-    }
     // No rollback: the acked copies stay and anti-entropy reconciles them.
     // The client must treat the write's fate as unknown, not as undone.
     return Status::Unavailable(
@@ -233,7 +225,6 @@ Result<ReplicatedStore::WriteResult> ReplicatedStore::QuorumWrite(
 Result<ReplicatedStore::WriteResult> ReplicatedStore::Put(
     const std::string& blob, const Buffer& data, int64_t budget_ns) {
   ++stats_.quorum_puts;
-  if (quorum_puts_counter_ != nullptr) quorum_puts_counter_->Increment();
   Hint op;
   op.blob = blob;
   op.data = data;
@@ -246,7 +237,6 @@ Result<ReplicatedStore::WriteResult> ReplicatedStore::Put(
 Result<ReplicatedStore::WriteResult> ReplicatedStore::Delete(
     const std::string& blob, int64_t budget_ns) {
   ++stats_.quorum_deletes;
-  if (quorum_deletes_counter_ != nullptr) quorum_deletes_counter_->Increment();
   Hint op;
   op.is_delete = true;
   op.blob = blob;
@@ -352,10 +342,6 @@ Status ReplicatedStore::StreamBlobTo(int64_t target_idx,
     ++*pages_streamed;
     ++stats_.repair_pages_streamed;
     stats_.repair_bytes_streamed += page_len;
-    if (repair_pages_counter_ != nullptr) repair_pages_counter_->Increment();
-    if (repair_bytes_counter_ != nullptr) {
-      repair_bytes_counter_->Increment(page_len);
-    }
   }
 
   int64_t apply_latency = 0;
@@ -365,14 +351,8 @@ Status ReplicatedStore::StreamBlobTo(int64_t target_idx,
 Status ReplicatedStore::RepairBlob(int64_t replica_idx,
                                    const std::string& blob) {
   ++stats_.repair_attempts;
-  if (repair_attempts_counter_ != nullptr) {
-    repair_attempts_counter_->Increment();
-  }
   const auto fail = [this](Status status) {
     ++stats_.repair_failures;
-    if (repair_failures_counter_ != nullptr) {
-      repair_failures_counter_->Increment();
-    }
     return status;
   };
 
@@ -394,7 +374,6 @@ Status ReplicatedStore::RepairBlob(int64_t replica_idx,
   const int64_t donor_idx = PickDonor(blob, winner.checksum, replica_idx);
   if (donor_idx < 0) {
     ++stats_.data_loss_events;
-    if (data_loss_counter_ != nullptr) data_loss_counter_->Increment();
     return fail(Status::DataLoss("no healthy peer holds '" + blob +
                                  "' at the damaged replica's version"));
   }
@@ -406,9 +385,6 @@ Status ReplicatedStore::RepairBlob(int64_t replica_idx,
   if (!streamed.ok()) return fail(streamed);
 
   ++stats_.repairs;
-  if (repair_successes_counter_ != nullptr) {
-    repair_successes_counter_->Increment();
-  }
   if (tracer_ != nullptr) {
     tracer_->EventAt(start_ns, "cluster", "read_repair", name_,
                      "'" + blob + "' on " + target.server->name() + " from " +
@@ -474,17 +450,11 @@ Result<ReplicatedStore::ReplayReport> ReplicatedStore::ReplayHints(
       // replica may have just crashed again mid-replay.
       ++report.failed;
       ++stats_.hint_replay_failures;
-      if (handoff_replay_failures_counter_ != nullptr) {
-        handoff_replay_failures_counter_->Increment();
-      }
       break;
     }
     queue.pop_front();
     ++report.replayed;
     ++stats_.hints_replayed;
-    if (handoff_replays_counter_ != nullptr) {
-      handoff_replays_counter_->Increment();
-    }
   }
   UpdateHintGauge();
   if (tracer_ != nullptr && (report.replayed > 0 || report.failed > 0)) {
@@ -564,7 +534,6 @@ ReplicatedStore::ResyncReport ReplicatedStore::RunAntiEntropy() {
   const int64_t start_ns = now_fn_();
   last_resync_ns_ = start_ns;
   ++stats_.resync_rounds;
-  if (resync_rounds_counter_ != nullptr) resync_rounds_counter_->Increment();
   EnsureHintSlots();
 
   ResyncReport report;
@@ -620,9 +589,6 @@ ReplicatedStore::ResyncReport ReplicatedStore::RunAntiEntropy() {
         if (deleted.ok()) {
           ++report.deletes_applied;
           ++stats_.resync_deletes;
-          if (resync_deletes_counter_ != nullptr) {
-            resync_deletes_counter_->Increment();
-          }
         }
       }
       continue;
@@ -633,7 +599,6 @@ ReplicatedStore::ResyncReport ReplicatedStore::RunAntiEntropy() {
       // counter — this is the event the bench gates to zero.
       ++report.unrepairable;
       ++stats_.data_loss_events;
-      if (data_loss_counter_ != nullptr) data_loss_counter_->Increment();
       continue;
     }
 
@@ -685,14 +650,8 @@ ReplicatedStore::ResyncReport ReplicatedStore::RunAntiEntropy() {
         report.pages_streamed += pages_streamed;
         report.bytes_streamed += pages_streamed * MediaStore::kCachePageBytes;
         ++stats_.resync_blobs_streamed;
-        if (resync_streams_counter_ != nullptr) {
-          resync_streams_counter_->Increment();
-        }
       } else {
         ++stats_.repair_failures;
-        if (repair_failures_counter_ != nullptr) {
-          repair_failures_counter_->Increment();
-        }
       }
     }
   }
@@ -727,73 +686,51 @@ void ReplicatedStore::BindObservability(obs::MetricsRegistry* registry,
                                         obs::Tracer* tracer) {
   tracer_ = tracer;
   router_->BindObservability(registry, tracer);
-  if (registry == nullptr) {
-    quorum_puts_counter_ = nullptr;
-    quorum_deletes_counter_ = nullptr;
-    quorum_failures_counter_ = nullptr;
-    write_acks_counter_ = nullptr;
-    breaker_opens_counter_ = nullptr;
-    handoff_hints_counter_ = nullptr;
-    handoff_replays_counter_ = nullptr;
-    handoff_replay_failures_counter_ = nullptr;
-    repair_attempts_counter_ = nullptr;
-    repair_successes_counter_ = nullptr;
-    repair_failures_counter_ = nullptr;
-    repair_pages_counter_ = nullptr;
-    repair_bytes_counter_ = nullptr;
-    resync_rounds_counter_ = nullptr;
-    resync_streams_counter_ = nullptr;
-    resync_deletes_counter_ = nullptr;
-    data_loss_counter_ = nullptr;
-    pending_hints_gauge_ = nullptr;
-    return;
+  for (int64_t i = 0; i < replicas_->size(); ++i) {
+    replicas_->at(i).server->device_queue().BindDeviceMetrics(registry);
   }
-  quorum_puts_counter_ = registry->GetCounter("avdb_cluster_quorum_puts_total",
-                                              "quorum puts issued");
-  quorum_deletes_counter_ = registry->GetCounter(
-      "avdb_cluster_quorum_deletes_total", "quorum deletes issued");
-  quorum_failures_counter_ = registry->GetCounter(
-      "avdb_cluster_quorum_failures_total",
-      "writes that missed their W-of-N ack quorum");
-  write_acks_counter_ = registry->GetCounter(
-      "avdb_cluster_quorum_acks_total", "per-replica write acks");
-  breaker_opens_counter_ = registry->GetCounter(
-      "avdb_cluster_breaker_opens_total", "circuit-breaker open transitions");
-  handoff_hints_counter_ = registry->GetCounter(
-      "avdb_cluster_handoff_hints_total",
-      "hinted-handoff entries recorded for missed writes");
-  handoff_replays_counter_ = registry->GetCounter(
-      "avdb_cluster_handoff_replays_total",
-      "hinted-handoff entries replayed to revived replicas");
-  handoff_replay_failures_counter_ = registry->GetCounter(
-      "avdb_cluster_handoff_replay_failures_total",
-      "hint replays that failed and stayed queued");
-  repair_attempts_counter_ = registry->GetCounter(
-      "avdb_cluster_repair_attempts_total", "read-repair attempts");
-  repair_successes_counter_ = registry->GetCounter(
-      "avdb_cluster_repair_successes_total",
-      "blobs healed by read-repair or resync streaming");
-  repair_failures_counter_ = registry->GetCounter(
-      "avdb_cluster_repair_failures_total", "repairs that could not complete");
-  repair_pages_counter_ = registry->GetCounter(
-      "avdb_cluster_repair_pages_streamed_total",
-      "pages streamed from donors during repair");
-  repair_bytes_counter_ = registry->GetCounter(
-      "avdb_cluster_repair_bytes_streamed_total",
-      "bytes streamed from donors during repair");
-  resync_rounds_counter_ = registry->GetCounter(
-      "avdb_cluster_resync_rounds_total", "anti-entropy rounds run");
-  resync_streams_counter_ = registry->GetCounter(
-      "avdb_cluster_resync_blobs_streamed_total",
-      "divergent blob copies rebuilt by anti-entropy");
-  resync_deletes_counter_ = registry->GetCounter(
-      "avdb_cluster_resync_deletes_total",
-      "minority copies deleted by the majority-absent vote");
-  data_loss_counter_ = registry->GetCounter(
-      "avdb_cluster_data_loss_events_total",
-      "blobs with no healthy copy left on any replica");
-  pending_hints_gauge_ = registry->GetGauge(
-      "avdb_cluster_pending_hints", "hinted-handoff entries queued");
+  metrics_.Attach(
+      registry,
+      {{"avdb_cluster_quorum_puts_total", &stats_.quorum_puts,
+        "quorum puts issued"},
+       {"avdb_cluster_quorum_deletes_total", &stats_.quorum_deletes,
+        "quorum deletes issued"},
+       {"avdb_cluster_quorum_failures_total", &stats_.quorum_failures,
+        "writes that missed their W-of-N ack quorum"},
+       {"avdb_cluster_quorum_acks_total", &stats_.write_acks,
+        "per-replica write acks"},
+       {"avdb_cluster_breaker_opens_total", &stats_.breaker_opens,
+        "circuit-breaker open transitions"},
+       {"avdb_cluster_handoff_hints_total", &stats_.hints_recorded,
+        "hinted-handoff entries recorded for missed writes"},
+       {"avdb_cluster_handoff_replays_total", &stats_.hints_replayed,
+        "hinted-handoff entries replayed to revived replicas"},
+       {"avdb_cluster_handoff_replay_failures_total",
+        &stats_.hint_replay_failures,
+        "hint replays that failed and stayed queued"},
+       {"avdb_cluster_repair_attempts_total", &stats_.repair_attempts,
+        "read-repair attempts"},
+       {"avdb_cluster_repair_successes_total", &stats_.repairs,
+        "blobs healed by read-repair or resync streaming"},
+       {"avdb_cluster_repair_failures_total", &stats_.repair_failures,
+        "repairs that could not complete"},
+       {"avdb_cluster_repair_pages_streamed_total",
+        &stats_.repair_pages_streamed,
+        "pages streamed from donors during repair"},
+       {"avdb_cluster_repair_bytes_streamed_total",
+        &stats_.repair_bytes_streamed,
+        "bytes streamed from donors during repair"},
+       {"avdb_cluster_resync_rounds_total", &stats_.resync_rounds,
+        "anti-entropy rounds run"},
+       {"avdb_cluster_resync_blobs_streamed_total",
+        &stats_.resync_blobs_streamed,
+        "divergent blob copies rebuilt by anti-entropy"},
+       {"avdb_cluster_resync_deletes_total", &stats_.resync_deletes,
+        "minority copies deleted by the majority-absent vote"},
+       {"avdb_cluster_data_loss_events_total", &stats_.data_loss_events,
+        "blobs with no healthy copy left on any replica"},
+       {"avdb_cluster_pending_hints", &pending_hints_,
+        "hinted-handoff entries queued", /*gauge=*/true}});
 }
 
 }  // namespace avdb

@@ -206,10 +206,11 @@ class ReplicatedStore {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Binds `avdb_cluster_repair_*` / `avdb_cluster_handoff_*` / quorum
-  /// instruments and the `read_repair` / `anti_entropy` / `handoff_replay`
-  /// trace events (actor = store name); also binds the embedded read
-  /// router. nullptr detaches.
+  /// Attaches the stats to `registry` under the `avdb_cluster_repair_*` /
+  /// `avdb_cluster_handoff_*` / quorum counters and binds the
+  /// `read_repair` / `anti_entropy` / `handoff_replay` trace events (actor
+  /// = store name); also binds the embedded read router and every replica
+  /// node's device queue. nullptr detaches.
   void BindObservability(obs::MetricsRegistry* registry, obs::Tracer* tracer);
 
  private:
@@ -270,24 +271,10 @@ class ReplicatedStore {
   int64_t op_seq_ = 0;          ///< writes issued; decorrelates retry jitter
   int64_t last_resync_ns_ = -1;
 
-  obs::Counter* quorum_puts_counter_ = nullptr;
-  obs::Counter* quorum_deletes_counter_ = nullptr;
-  obs::Counter* quorum_failures_counter_ = nullptr;
-  obs::Counter* write_acks_counter_ = nullptr;
-  obs::Counter* breaker_opens_counter_ = nullptr;
-  obs::Counter* handoff_hints_counter_ = nullptr;
-  obs::Counter* handoff_replays_counter_ = nullptr;
-  obs::Counter* handoff_replay_failures_counter_ = nullptr;
-  obs::Counter* repair_attempts_counter_ = nullptr;
-  obs::Counter* repair_successes_counter_ = nullptr;
-  obs::Counter* repair_failures_counter_ = nullptr;
-  obs::Counter* repair_pages_counter_ = nullptr;
-  obs::Counter* repair_bytes_counter_ = nullptr;
-  obs::Counter* resync_rounds_counter_ = nullptr;
-  obs::Counter* resync_streams_counter_ = nullptr;
-  obs::Counter* resync_deletes_counter_ = nullptr;
-  obs::Counter* data_loss_counter_ = nullptr;
-  obs::Gauge* pending_hints_gauge_ = nullptr;
+  /// Hints queued across replicas, as of the last record or replay (the
+  /// `avdb_cluster_pending_hints` gauge).
+  int64_t pending_hints_ = 0;
+  obs::Attachment metrics_;  // reads stats_ and pending_hints_
   obs::Tracer* tracer_ = nullptr;
 };
 

@@ -54,7 +54,6 @@ int64_t StreamRouter::HedgeDelayNs() const {
 
 void StreamRouter::NoteBreakerOpen(int64_t idx, int64_t now_ns) {
   ++stats_.breaker_opens;
-  if (breaker_opens_counter_ != nullptr) breaker_opens_counter_->Increment();
   if (tracer_ != nullptr) {
     tracer_->EventAt(now_ns, "cluster", "breaker_open", name_,
                      replicas_->at(idx).server->name() + " after " +
@@ -103,14 +102,10 @@ Result<MediaStore::ReadResult> StreamRouter::Fetch(const std::string& blob,
                                                    int64_t length,
                                                    int64_t budget_ns) {
   ++stats_.fetches;
-  if (fetches_counter_ != nullptr) fetches_counter_->Increment();
 
   if (budget_ns <= 0) {
     // Already doomed on arrival: no replica, channel, or rng is touched.
     ++stats_.deadline_fast_fails;
-    if (deadline_fast_fails_counter_ != nullptr) {
-      deadline_fast_fails_counter_->Increment();
-    }
     return Status::DeadlineExceeded("fetch of '" + blob +
                                     "' arrived with its budget spent");
   }
@@ -127,13 +122,20 @@ Result<MediaStore::ReadResult> StreamRouter::Fetch(const std::string& blob,
   while (attempts < policy_.max_attempts) {
     const int64_t now = start_ns + elapsed;
     const int64_t idx = replicas_->Pick(now, tried);
-    if (idx < 0) break;
+    if (idx < 0) {
+      if (attempts == 0 && replicas_->size() > 0) {
+        last_error = Status::Unavailable(
+            "fetch of '" + blob +
+            "' not attempted: every replica's circuit breaker is open (or "
+            "its half-open probe is in flight)");
+      }
+      break;
+    }
     replicas_->at(idx).health.Admit(now);
     tried |= uint64_t{1} << idx;
     if (attempts > 0) {
       // A replacement attempt after a failure: the failover itself.
       ++stats_.failovers;
-      if (failovers_counter_ != nullptr) failovers_counter_->Increment();
       if (tracer_ != nullptr) {
         tracer_->EventAt(now, "cluster", "failover", name_,
                          "-> " + replicas_->at(idx).server->name() + " for '" +
@@ -165,7 +167,6 @@ Result<MediaStore::ReadResult> StreamRouter::Fetch(const std::string& blob,
           tried |= uint64_t{1} << hidx;
           hedged = true;
           ++stats_.hedges;
-          if (hedges_counter_ != nullptr) hedges_counter_->Increment();
           DeadlineBudget hedge_budget = budget;
           hedge_budget.Charge(hedge_delay);
           AttemptOutcome hedge = Attempt(hidx, blob, offset, length,
@@ -176,9 +177,6 @@ Result<MediaStore::ReadResult> StreamRouter::Fetch(const std::string& blob,
             const int64_t hedge_total = hedge_delay + hedge.latency_ns;
             if (hedge_total < d1) {
               ++stats_.hedge_wins;
-              if (hedge_wins_counter_ != nullptr) {
-                hedge_wins_counter_->Increment();
-              }
               if (tracer_ != nullptr) {
                 tracer_->EventAt(now + hedge_total, "cluster", "hedge_win",
                                  name_,
@@ -202,9 +200,7 @@ Result<MediaStore::ReadResult> StreamRouter::Fetch(const std::string& blob,
       elapsed += winner_latency;
       winner.duration = WorldTime::FromNanos(elapsed);
       if (fetch_latency_hist_ != nullptr) fetch_latency_hist_->Observe(elapsed);
-      if (healthy_gauge_ != nullptr) {
-        healthy_gauge_->Set(replicas_->HealthyCount(start_ns + elapsed));
-      }
+      healthy_replicas_ = replicas_->HealthyCount(start_ns + elapsed);
       if (tracer_ != nullptr && (failed_attempts > 0 || hedged)) {
         const int64_t span = tracer_->BeginSpanAt(start_ns, "cluster",
                                                   "routed_fetch", name_);
@@ -231,14 +227,9 @@ Result<MediaStore::ReadResult> StreamRouter::Fetch(const std::string& blob,
     }
     budget.Charge(primary.latency_ns);
     elapsed += primary.latency_ns;
-    if (healthy_gauge_ != nullptr) {
-      healthy_gauge_->Set(replicas_->HealthyCount(start_ns + elapsed));
-    }
+    healthy_replicas_ = replicas_->HealthyCount(start_ns + elapsed);
     if (budget.expired()) {
       ++stats_.deadline_give_ups;
-      if (deadline_give_ups_counter_ != nullptr) {
-        deadline_give_ups_counter_->Increment();
-      }
       return Status::DeadlineExceeded(
           "fetch of '" + blob + "' abandoned after " +
           std::to_string(attempts) + " attempts; budget spent (" +
@@ -247,54 +238,39 @@ Result<MediaStore::ReadResult> StreamRouter::Fetch(const std::string& blob,
   }
 
   ++stats_.exhausted;
-  if (exhausted_counter_ != nullptr) exhausted_counter_->Increment();
   return last_error;
 }
 
 void StreamRouter::BindObservability(obs::MetricsRegistry* registry,
                                      obs::Tracer* tracer) {
   tracer_ = tracer;
-  if (registry == nullptr) {
-    fetches_counter_ = nullptr;
-    failovers_counter_ = nullptr;
-    hedges_counter_ = nullptr;
-    hedge_wins_counter_ = nullptr;
-    breaker_opens_counter_ = nullptr;
-    deadline_fast_fails_counter_ = nullptr;
-    deadline_give_ups_counter_ = nullptr;
-    exhausted_counter_ = nullptr;
-    healthy_gauge_ = nullptr;
-    fetch_latency_hist_ = nullptr;
-    return;
-  }
-  fetches_counter_ = registry->GetCounter("avdb_cluster_fetches_total",
-                                          "routed fetches issued");
-  failovers_counter_ =
-      registry->GetCounter("avdb_cluster_failovers_total",
-                           "replacement attempts after a replica failure");
-  hedges_counter_ = registry->GetCounter("avdb_cluster_hedges_total",
-                                         "hedge requests issued");
-  hedge_wins_counter_ = registry->GetCounter(
-      "avdb_cluster_hedge_wins_total", "hedges that beat the primary");
-  breaker_opens_counter_ = registry->GetCounter(
-      "avdb_cluster_breaker_opens_total", "circuit-breaker open transitions");
-  deadline_fast_fails_counter_ = registry->GetCounter(
-      "avdb_cluster_deadline_fast_fails_total",
-      "fetches refused because the budget arrived spent");
-  deadline_give_ups_counter_ = registry->GetCounter(
-      "avdb_cluster_deadline_give_ups_total",
-      "fetches abandoned mid-failover when the budget ran out");
-  exhausted_counter_ =
-      registry->GetCounter("avdb_cluster_exhausted_total",
-                           "fetches that ran out of admissible replicas");
-  healthy_gauge_ = registry->GetGauge(
-      "avdb_cluster_healthy_replicas",
-      "replicas whose breaker currently admits traffic");
-  fetch_latency_hist_ = registry->GetHistogram(
-      "avdb_cluster_fetch_latency_ns",
-      {1000000, 5000000, 10000000, 25000000, 50000000, 100000000, 250000000,
-       500000000, 1000000000},
-      "client-visible routed fetch latency");
+  metrics_.Attach(
+      registry,
+      {{"avdb_cluster_fetches_total", &stats_.fetches,
+        "routed fetches issued"},
+       {"avdb_cluster_failovers_total", &stats_.failovers,
+        "replacement attempts after a replica failure"},
+       {"avdb_cluster_hedges_total", &stats_.hedges, "hedge requests issued"},
+       {"avdb_cluster_hedge_wins_total", &stats_.hedge_wins,
+        "hedges that beat the primary"},
+       {"avdb_cluster_breaker_opens_total", &stats_.breaker_opens,
+        "circuit-breaker open transitions"},
+       {"avdb_cluster_deadline_fast_fails_total", &stats_.deadline_fast_fails,
+        "fetches refused because the budget arrived spent"},
+       {"avdb_cluster_deadline_give_ups_total", &stats_.deadline_give_ups,
+        "fetches abandoned mid-failover when the budget ran out"},
+       {"avdb_cluster_exhausted_total", &stats_.exhausted,
+        "fetches that ran out of admissible replicas"},
+       {"avdb_cluster_healthy_replicas", &healthy_replicas_,
+        "replicas whose breaker currently admits traffic", /*gauge=*/true}});
+  fetch_latency_hist_ =
+      registry == nullptr
+          ? nullptr
+          : registry->GetHistogram(
+                "avdb_cluster_fetch_latency_ns",
+                {1000000, 5000000, 10000000, 25000000, 50000000, 100000000,
+                 250000000, 500000000, 1000000000},
+                "client-visible routed fetch latency");
 }
 
 }  // namespace avdb

@@ -113,9 +113,9 @@ class StreamRouter {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Binds `avdb_cluster_*` instruments and failover/hedge trace spans
-  /// (actor = router name). nullptr detaches; unbound the router is
-  /// cost-identical to the uninstrumented one.
+  /// Attaches the stats to `registry` under the `avdb_cluster_*` counters,
+  /// binds the fetch-latency histogram and failover/hedge trace spans
+  /// (actor = router name). nullptr detaches.
   void BindObservability(obs::MetricsRegistry* registry, obs::Tracer* tracer);
 
  private:
@@ -146,15 +146,10 @@ class StreamRouter {
   std::vector<int64_t> latency_window_;
   int64_t latency_next_ = 0;
 
-  obs::Counter* fetches_counter_ = nullptr;
-  obs::Counter* failovers_counter_ = nullptr;
-  obs::Counter* hedges_counter_ = nullptr;
-  obs::Counter* hedge_wins_counter_ = nullptr;
-  obs::Counter* breaker_opens_counter_ = nullptr;
-  obs::Counter* deadline_fast_fails_counter_ = nullptr;
-  obs::Counter* deadline_give_ups_counter_ = nullptr;
-  obs::Counter* exhausted_counter_ = nullptr;
-  obs::Gauge* healthy_gauge_ = nullptr;
+  /// Replicas admitting traffic as of the last completed fetch (the
+  /// `avdb_cluster_healthy_replicas` gauge).
+  int64_t healthy_replicas_ = 0;
+  obs::Attachment metrics_;  // reads stats_ and healthy_replicas_
   obs::Histogram* fetch_latency_hist_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
 };

@@ -118,7 +118,9 @@ Result<BlockDevice*> AvDatabase::AddDevice(const std::string& name,
   if (exclusive) {
     AVDB_RETURN_IF_ERROR(admission_.RegisterPool(name + ".arm", 1));
   }
-  device_queues_[name] = std::make_unique<ServiceQueue>(name + ".queue");
+  auto& queue = device_queues_[name];
+  queue = std::make_unique<ServiceQueue>(name + ".queue");
+  queue->BindDeviceMetrics(metrics_.get());
   return device;
 }
 

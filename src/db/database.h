@@ -52,8 +52,9 @@ struct AvDatabaseConfig {
   int64_t journal_bytes = MediaStore::kDefaultJournalBytes;
   /// When true (the default) the database owns a MetricsRegistry and a
   /// virtual-time Tracer, and every layer it assembles — admission, jitter,
-  /// stores, channels, activities — is bound to them. Off, nothing is
-  /// allocated and every instrumented path degrades to one null check.
+  /// stores, device queues, channels, activities — is bound to them. Off,
+  /// nothing is allocated: each layer still counts in its own stats, and
+  /// the pushed instruments degrade to one null check.
   bool observability = true;
   /// Trace ring capacity (events) when `observability` is set.
   int64_t trace_capacity =

@@ -273,7 +273,7 @@ class Parser {
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
   Result<PredicatePtr> Parse() {
-    auto expr = ParseOr();
+    auto expr = ParseOr(0);
     if (!expr.ok()) return expr;
     if (Peek().kind != TokenKind::kEnd) {
       return Error("trailing input");
@@ -296,42 +296,53 @@ class Parser {
                                    message);
   }
 
-  Result<PredicatePtr> ParseOr() {
-    auto lhs = ParseAnd();
+  // `depth` counts the `not` and `(` levels enclosing the current term.
+  // ParseUnary recurses once per level, so it is capped: hostile text must
+  // fail with a Status, not overflow the stack.
+  static constexpr int kMaxNesting = 256;
+
+  Result<PredicatePtr> ParseOr(int depth) {
+    auto lhs = ParseAnd(depth);
     if (!lhs.ok()) return lhs;
     PredicatePtr node = lhs.value();
     while (PeekKeyword("or")) {
       Advance();
-      auto rhs = ParseAnd();
+      auto rhs = ParseAnd(depth);
       if (!rhs.ok()) return rhs;
       node = std::make_shared<OrNode>(node, rhs.value());
     }
     return node;
   }
 
-  Result<PredicatePtr> ParseAnd() {
-    auto lhs = ParseUnary();
+  Result<PredicatePtr> ParseAnd(int depth) {
+    auto lhs = ParseUnary(depth);
     if (!lhs.ok()) return lhs;
     PredicatePtr node = lhs.value();
     while (PeekKeyword("and")) {
       Advance();
-      auto rhs = ParseUnary();
+      auto rhs = ParseUnary(depth);
       if (!rhs.ok()) return rhs;
       node = std::make_shared<AndNode>(node, rhs.value());
     }
     return node;
   }
 
-  Result<PredicatePtr> ParseUnary() {
+  Result<PredicatePtr> ParseUnary(int depth) {
+    const bool nests =
+        PeekKeyword("not") || Peek().kind == TokenKind::kLparen;
+    if (nests && depth >= kMaxNesting) {
+      return Error("nesting deeper than " + std::to_string(kMaxNesting) +
+                   " levels");
+    }
     if (PeekKeyword("not")) {
       Advance();
-      auto inner = ParseUnary();
+      auto inner = ParseUnary(depth + 1);
       if (!inner.ok()) return inner;
       return PredicatePtr(std::make_shared<NotNode>(inner.value()));
     }
     if (Peek().kind == TokenKind::kLparen) {
       Advance();
-      auto inner = ParseOr();
+      auto inner = ParseOr(depth + 1);
       if (!inner.ok()) return inner;
       if (Peek().kind != TokenKind::kRparen) {
         return Error("expected ')'");

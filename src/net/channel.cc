@@ -57,7 +57,6 @@ void Channel::ReleaseBandwidth(int64_t bytes_per_sec) {
                       << reserved_bytes_per_sec_
                       << " B/s reserved; clamping at zero";
     ++stats_.over_releases;
-    if (over_releases_counter_ != nullptr) over_releases_counter_->Increment();
     if (tracer_ != nullptr) {
       tracer_->Event("net", "over_release", name_,
                      std::to_string(bytes_per_sec) + " B/s over " +
@@ -100,7 +99,6 @@ int64_t Channel::Transfer(int64_t request_ns, int64_t bytes) {
       serialization_ns = static_cast<int64_t>(
           static_cast<double>(serialization_ns) * slowdown);
       ++stats_.collapsed_transfers;
-      if (collapsed_counter_ != nullptr) collapsed_counter_->Increment();
       if (tracer_ != nullptr) {
         tracer_->EventAt(request_ns, "net", "bandwidth_collapse", name_,
                          "x" + std::to_string(slowdown));
@@ -110,10 +108,6 @@ int64_t Channel::Transfer(int64_t request_ns, int64_t bytes) {
   const int64_t done = link_.Submit(request_ns, serialization_ns);
   ++stats_.transfers;
   stats_.bytes += bytes;
-  if (transfers_counter_ != nullptr) {
-    transfers_counter_->Increment();
-    transfer_bytes_counter_->Increment(bytes);
-  }
   return done + profile_.propagation_delay_ns;
 }
 
@@ -135,7 +129,6 @@ Result<int64_t> Channel::TransferWithDeadline(int64_t request_ns,
       serialization_ns = static_cast<int64_t>(
           static_cast<double>(serialization_ns) * slowdown);
       ++stats_.collapsed_transfers;
-      if (collapsed_counter_ != nullptr) collapsed_counter_->Increment();
       if (tracer_ != nullptr) {
         tracer_->EventAt(request_ns, "net", "bandwidth_collapse", name_,
                          "x" + std::to_string(slowdown));
@@ -150,9 +143,6 @@ Result<int64_t> Channel::TransferWithDeadline(int64_t request_ns,
     // injector draw above stands (the collapse is what doomed it), keeping
     // the fault trace a pure function of the attempt sequence.
     ++stats_.deadline_cancelled;
-    if (deadline_cancelled_counter_ != nullptr) {
-      deadline_cancelled_counter_->Increment();
-    }
     if (tracer_ != nullptr) {
       tracer_->EventAt(request_ns, "net", "deadline_cancel", name_,
                        std::to_string(predicted_done - request_ns) +
@@ -168,10 +158,6 @@ Result<int64_t> Channel::TransferWithDeadline(int64_t request_ns,
   const int64_t done = link_.Submit(request_ns, serialization_ns);
   ++stats_.transfers;
   stats_.bytes += bytes;
-  if (transfers_counter_ != nullptr) {
-    transfers_counter_->Increment();
-    transfer_bytes_counter_->Increment(bytes);
-  }
   return done + profile_.propagation_delay_ns;
 }
 
@@ -183,28 +169,19 @@ int64_t Channel::PeekTransfer(int64_t request_ns, int64_t bytes) const {
 void Channel::BindObservability(obs::MetricsRegistry* registry,
                                 obs::Tracer* tracer) {
   tracer_ = tracer;
-  if (registry == nullptr) {
-    transfers_counter_ = nullptr;
-    transfer_bytes_counter_ = nullptr;
-    collapsed_counter_ = nullptr;
-    over_releases_counter_ = nullptr;
-    deadline_cancelled_counter_ = nullptr;
-    return;
-  }
-  transfers_counter_ = registry->GetCounter("avdb_net_transfers_total",
-                                            "transfers submitted to the link");
-  transfer_bytes_counter_ = registry->GetCounter(
-      "avdb_net_transfer_bytes_total", "payload bytes sent over the link");
-  collapsed_counter_ =
-      registry->GetCounter("avdb_net_collapsed_transfers_total",
-                           "transfers slowed by an injected fault");
-  over_releases_counter_ =
-      registry->GetCounter("avdb_net_over_releases_total",
-                           "bandwidth releases clamped at zero");
-  deadline_cancelled_counter_ =
-      registry->GetCounter("avdb_net_deadline_cancelled_total",
-                           "transfers cancelled before serializing because "
-                           "the propagated deadline budget could not fit");
+  metrics_.Attach(
+      registry,
+      {{"avdb_net_transfers_total", &stats_.transfers,
+        "transfers submitted to the link"},
+       {"avdb_net_transfer_bytes_total", &stats_.bytes,
+        "payload bytes sent over the link"},
+       {"avdb_net_collapsed_transfers_total", &stats_.collapsed_transfers,
+        "transfers slowed by an injected fault"},
+       {"avdb_net_over_releases_total", &stats_.over_releases,
+        "bandwidth releases clamped at zero"},
+       {"avdb_net_deadline_cancelled_total", &stats_.deadline_cancelled,
+        "transfers cancelled before serializing because the propagated "
+        "deadline budget could not fit"}});
 }
 
 }  // namespace avdb

@@ -118,10 +118,10 @@ class Channel {
   const Stats& stats() const { return stats_; }
   const ServiceQueue& queue() const { return link_; }
 
-  /// Forwards transfer/over-release stats into shared `avdb_net_*` counters
-  /// and traces line-rate revocations, fault-collapsed transfers, and
-  /// over-releases (actor = channel name). nullptr detaches; unbound the
-  /// channel is cost-identical to the uninstrumented one.
+  /// Attaches the transfer/over-release stats to `registry` under the
+  /// shared `avdb_net_*` counters and traces line-rate revocations,
+  /// fault-collapsed transfers, and over-releases (actor = channel name).
+  /// nullptr detaches.
   void BindObservability(obs::MetricsRegistry* registry, obs::Tracer* tracer);
 
  private:
@@ -132,11 +132,7 @@ class Channel {
   ServiceQueue link_;
   FaultInjector* fault_injector_ = nullptr;
   Stats stats_;
-  obs::Counter* transfers_counter_ = nullptr;
-  obs::Counter* transfer_bytes_counter_ = nullptr;
-  obs::Counter* collapsed_counter_ = nullptr;
-  obs::Counter* over_releases_counter_ = nullptr;
-  obs::Counter* deadline_cancelled_counter_ = nullptr;
+  obs::Attachment metrics_;  // reads stats_; declared after it
   obs::Tracer* tracer_ = nullptr;
 };
 

@@ -76,6 +76,60 @@ void Histogram::Observe(int64_t value) {
   sum_.fetch_add(value, std::memory_order_relaxed);
 }
 
+void CellSet::Add(const int64_t* cell) {
+  MutexLock lock(mu_);
+  const bool added = bases_.emplace(cell, gauge_ ? 0 : *cell).second;
+  AVDB_CHECK(added) << "cell attached twice under one name";
+}
+
+void CellSet::Remove(const int64_t* cell) {
+  MutexLock lock(mu_);
+  const auto it = bases_.find(cell);
+  // A gauge keeps the level its last detached cell had, as a pushed gauge
+  // keeps its last Set; a counter keeps the count.
+  retained_ = gauge_ ? *cell : retained_ + (*cell - it->second);
+  bases_.erase(it);
+}
+
+void CellSet::FoldToZero(const int64_t* cell) {
+  if (gauge_) return;
+  MutexLock lock(mu_);
+  int64_t& base = bases_.find(cell)->second;
+  retained_ += *cell - base;
+  base = 0;
+}
+
+int64_t CellSet::Total() const {
+  MutexLock lock(mu_);
+  if (gauge_ && bases_.empty()) return retained_;
+  int64_t total = gauge_ ? 0 : retained_;
+  for (const auto& [cell, base] : bases_) total += *cell - base;
+  return total;
+}
+
+void Attachment::Attach(MetricsRegistry* registry,
+                        std::initializer_list<Cell> cells) {
+  Detach();
+  if (registry == nullptr) return;
+  cells_.reserve(cells.size());
+  for (const Cell& c : cells) {
+    std::shared_ptr<CellSet> set =
+        c.gauge ? registry->GetGauge(c.name, c.help)->cells_
+                : registry->GetCounter(c.name, c.help)->cells_;
+    set->Add(c.cell);
+    cells_.emplace_back(std::move(set), c.cell);
+  }
+}
+
+void Attachment::Detach() {
+  for (const auto& [set, cell] : cells_) set->Remove(cell);
+  cells_.clear();
+}
+
+void Attachment::FoldToZero() {
+  for (const auto& [set, cell] : cells_) set->FoldToZero(cell);
+}
+
 Counter* MetricsRegistry::GetCounter(const std::string& name,
                                      const std::string& help) {
   AVDB_CHECK(ValidMetricName(name))

@@ -83,7 +83,6 @@ Result<double> AdmissionController::SetPoolCapacity(const std::string& name,
   Pool& pool = PoolAt(id);
   if (capacity < pool.capacity) {
     ++stats_.revocations;
-    if (revocations_counter_ != nullptr) revocations_counter_->Increment();
     if (tracer_ != nullptr) {
       tracer_->Event("sched", "pool_revoked", name,
                      std::to_string(pool.capacity) + " -> " +
@@ -147,7 +146,6 @@ Result<AdmissionTicket> AdmissionController::Admit(
     // Small epsilon tolerance so rate arithmetic at the boundary admits.
     if (pool.used + d.amount > pool.capacity * (1 + 1e-9)) {
       ++stats_.rejected;
-      if (rejected_counter_ != nullptr) rejected_counter_->Increment();
       if (tracer_ != nullptr) {
         tracer_->Event("sched", "admission_rejected", pool.name,
                        "short by " +
@@ -168,7 +166,6 @@ Result<AdmissionTicket> AdmissionController::Admit(
   ticket.id_ = next_ticket_id_++;
   ticket.demands_ = std::move(totals);
   ++stats_.admitted;
-  if (admitted_counter_ != nullptr) admitted_counter_->Increment();
   if (tracer_ != nullptr) {
     tracer_->Event("sched", "admitted", "ticket " + std::to_string(ticket.id_),
                    std::to_string(ticket.demands_.size()) + " demands");
@@ -187,9 +184,6 @@ void AdmissionController::Release(AdmissionTicket* ticket) {
       // released more than it reserved — count it instead of hiding it.
       if (pool.used < -ReleaseEpsilon(pool.capacity)) {
         ++stats_.over_releases;
-        if (over_releases_counter_ != nullptr) {
-          over_releases_counter_->Increment();
-        }
         if (tracer_ != nullptr) {
           tracer_->Event("sched", "over_release", pool.name,
                          "used clamped from " + std::to_string(pool.used) +
@@ -209,7 +203,6 @@ Result<AdmissionTicket> AdmissionController::Readmit(
   auto ticket = Admit(demands);
   if (ticket.ok()) {
     ++stats_.readmitted;
-    if (readmitted_counter_ != nullptr) readmitted_counter_->Increment();
   }
   return ticket;
 }
@@ -217,28 +210,18 @@ Result<AdmissionTicket> AdmissionController::Readmit(
 void AdmissionController::BindObservability(obs::MetricsRegistry* registry,
                                             obs::Tracer* tracer) {
   tracer_ = tracer;
-  if (registry == nullptr) {
-    admitted_counter_ = nullptr;
-    rejected_counter_ = nullptr;
-    readmitted_counter_ = nullptr;
-    revocations_counter_ = nullptr;
-    over_releases_counter_ = nullptr;
-    return;
-  }
-  admitted_counter_ = registry->GetCounter(
-      "avdb_sched_admission_admitted_total", "admission requests granted");
-  rejected_counter_ = registry->GetCounter(
-      "avdb_sched_admission_rejected_total",
-      "admission requests refused on a pool shortfall");
-  readmitted_counter_ =
-      registry->GetCounter("avdb_sched_admission_readmitted_total",
-                           "reduced-demand re-admissions after revocation");
-  revocations_counter_ =
-      registry->GetCounter("avdb_sched_admission_revocations_total",
-                           "pool capacity reductions mid-run");
-  over_releases_counter_ =
-      registry->GetCounter("avdb_sched_admission_over_releases_total",
-                           "releases clamped at zero (double-release bugs)");
+  metrics_.Attach(
+      registry,
+      {{"avdb_sched_admission_admitted_total", &stats_.admitted,
+        "admission requests granted"},
+       {"avdb_sched_admission_rejected_total", &stats_.rejected,
+        "admission requests refused on a pool shortfall"},
+       {"avdb_sched_admission_readmitted_total", &stats_.readmitted,
+        "reduced-demand re-admissions after revocation"},
+       {"avdb_sched_admission_revocations_total", &stats_.revocations,
+        "pool capacity reductions mid-run"},
+       {"avdb_sched_admission_over_releases_total", &stats_.over_releases,
+        "releases clamped at zero (double-release bugs)"}});
 }
 
 }  // namespace avdb

@@ -128,7 +128,7 @@ class AdmissionController {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Forwards admissions/rejections/revocations into shared
+  /// Attaches the stats to `registry` under the shared
   /// `avdb_sched_admission_*` counters and traces every decision (the §4.3
   /// "this statement would fail" moments are exactly what a timeline must
   /// show).
@@ -160,11 +160,7 @@ class AdmissionController {
   std::map<std::string, PoolId> index_;  ///< registration/intern time only
   int64_t next_ticket_id_ = 1;
   Stats stats_;
-  obs::Counter* admitted_counter_ = nullptr;
-  obs::Counter* rejected_counter_ = nullptr;
-  obs::Counter* readmitted_counter_ = nullptr;
-  obs::Counter* revocations_counter_ = nullptr;
-  obs::Counter* over_releases_counter_ = nullptr;
+  obs::Attachment metrics_;  // reads stats_; declared after it
   obs::Tracer* tracer_ = nullptr;
 };
 

@@ -36,7 +36,6 @@ void DegradationController::ReportLateness(int64_t now_ns,
 void DegradationController::ReportFault(int64_t now_ns) {
   ++consecutive_faults_;
   ++stats_.faults;
-  if (faults_counter_ != nullptr) faults_counter_->Increment();
   if (tracer_ != nullptr) {
     tracer_->EventAt(now_ns, "sched", "fault", actor_,
                      "strike " + std::to_string(consecutive_faults_));
@@ -118,13 +117,8 @@ void DegradationController::AcknowledgeAction(DegradeAction action,
       ++stats_.aborts_taken;
       break;
   }
-  if (action != DegradeAction::kNone) {
-    if (obs::Counter* c = action_counters_[static_cast<int>(action)]) {
-      c->Increment();
-    }
-    if (tracer_ != nullptr) {
-      tracer_->Event("sched", "degrade", actor_, DegradeActionName(action));
-    }
+  if (action != DegradeAction::kNone && tracer_ != nullptr) {
+    tracer_->Event("sched", "degrade", actor_, DegradeActionName(action));
   }
 }
 
@@ -133,28 +127,20 @@ void DegradationController::BindObservability(obs::MetricsRegistry* registry,
                                               std::string actor) {
   tracer_ = tracer;
   actor_ = std::move(actor);
-  if (registry == nullptr) {
-    for (auto& c : action_counters_) c = nullptr;
-    faults_counter_ = nullptr;
-    return;
-  }
-  action_counters_[static_cast<int>(DegradeAction::kDropFrame)] =
-      registry->GetCounter("avdb_sched_degrade_drops_total",
-                           "frames shed by the ladder");
-  action_counters_[static_cast<int>(DegradeAction::kLowerQuality)] =
-      registry->GetCounter("avdb_sched_degrade_lowers_total",
-                           "quality step-downs taken");
-  action_counters_[static_cast<int>(DegradeAction::kRaiseQuality)] =
-      registry->GetCounter("avdb_sched_degrade_raises_total",
-                           "quality step-ups taken");
-  action_counters_[static_cast<int>(DegradeAction::kPause)] =
-      registry->GetCounter("avdb_sched_degrade_pauses_total",
-                           "pause/re-anchor actions taken");
-  action_counters_[static_cast<int>(DegradeAction::kAbort)] =
-      registry->GetCounter("avdb_sched_degrade_aborts_total",
-                           "streams abandoned by the ladder");
-  faults_counter_ = registry->GetCounter("avdb_sched_degrade_faults_total",
-                                         "fault strikes reported");
+  metrics_.Attach(
+      registry,
+      {{"avdb_sched_degrade_drops_total", &stats_.drops_taken,
+        "frames shed by the ladder"},
+       {"avdb_sched_degrade_lowers_total", &stats_.lowers_taken,
+        "quality step-downs taken"},
+       {"avdb_sched_degrade_raises_total", &stats_.raises_taken,
+        "quality step-ups taken"},
+       {"avdb_sched_degrade_pauses_total", &stats_.pauses_taken,
+        "pause/re-anchor actions taken"},
+       {"avdb_sched_degrade_aborts_total", &stats_.aborts_taken,
+        "streams abandoned by the ladder"},
+       {"avdb_sched_degrade_faults_total", &stats_.faults,
+        "fault strikes reported"}});
 }
 
 }  // namespace avdb

@@ -103,9 +103,10 @@ class DegradationController {
     if (stream_stats_ == stats) stream_stats_ = nullptr;
   }
 
-  /// Forwards ladder transitions into shared `avdb_sched_degrade_*`
-  /// counters and, when `tracer` is set, records each acknowledged action
-  /// as a trace event under `actor` (the stream name).
+  /// Attaches the ladder's stats to `registry` under the shared
+  /// `avdb_sched_degrade_*` counters and, when `tracer` is set, records
+  /// each acknowledged action as a trace event under `actor` (the stream
+  /// name).
   void BindObservability(obs::MetricsRegistry* registry, obs::Tracer* tracer,
                          std::string actor = "");
 
@@ -141,8 +142,7 @@ class DegradationController {
   int64_t last_switch_ns_ = -(1LL << 62);  // dwell open at stream start
   Stats stats_;
   StreamStats* stream_stats_ = nullptr;  // non-owning; sink detaches
-  obs::Counter* action_counters_[6] = {};  // indexed by DegradeAction
-  obs::Counter* faults_counter_ = nullptr;
+  obs::Attachment metrics_;  // reads stats_; declared after it
   obs::Tracer* tracer_ = nullptr;
   std::string actor_;
 };

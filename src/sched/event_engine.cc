@@ -40,7 +40,6 @@ bool EventEngine::Cancel(TimerHandle handle) {
   --live_events_;
   ++dead_entries_;
   ++events_cancelled_;
-  if (cancelled_counter_ != nullptr) cancelled_counter_->Increment();
   SyncPendingGauge();
   MaybeCompact();
   return true;
@@ -66,7 +65,6 @@ void EventEngine::MaybeCompact() {
   std::make_heap(heap_.begin(), heap_.end(), Later{});
   dead_entries_ = 0;
   ++compactions_;
-  if (compactions_counter_ != nullptr) compactions_counter_->Increment();
 }
 
 bool EventEngine::RunOne() {
@@ -110,19 +108,15 @@ int64_t EventEngine::RunUntil(int64_t t_ns) {
 }
 
 void EventEngine::BindObservability(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    pending_gauge_ = nullptr;
-    cancelled_counter_ = nullptr;
-    compactions_counter_ = nullptr;
-    return;
-  }
-  pending_gauge_ = registry->GetGauge("avdb_sched_engine_pending",
-                                      "live scheduled events");
-  cancelled_counter_ = registry->GetCounter(
-      "avdb_sched_engine_cancelled_total", "events removed before firing");
-  compactions_counter_ =
-      registry->GetCounter("avdb_sched_engine_compactions_total",
-                           "tombstone sweeps of the event heap");
+  metrics_.Attach(registry,
+                  {{"avdb_sched_engine_cancelled_total", &events_cancelled_,
+                    "events removed before firing"},
+                   {"avdb_sched_engine_compactions_total", &compactions_,
+                    "tombstone sweeps of the event heap"}});
+  pending_gauge_ = registry == nullptr
+                       ? nullptr
+                       : registry->GetGauge("avdb_sched_engine_pending",
+                                            "live scheduled events");
   SyncPendingGauge();
 }
 

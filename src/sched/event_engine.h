@@ -276,9 +276,8 @@ class EventEngine {
   int64_t events_cancelled_ = 0;
   int64_t compactions_ = 0;
 
+  obs::Attachment metrics_;  // reads the counts above; declared after them
   obs::Gauge* pending_gauge_ = nullptr;
-  obs::Counter* cancelled_counter_ = nullptr;
-  obs::Counter* compactions_counter_ = nullptr;
 };
 
 }  // namespace avdb

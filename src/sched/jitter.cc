@@ -7,11 +7,9 @@ int64_t JitterModel::Sample() {
   if (params_.stddev_ns > 0) {
     delay += rng_.NextGaussian() * static_cast<double>(params_.stddev_ns);
   }
-  bool spiked = false;
   if (params_.spike_probability > 0 &&
       rng_.NextBool(params_.spike_probability)) {
     delay += static_cast<double>(params_.spike_ns);
-    spiked = true;
     ++stats_.spikes;
   }
   if (delay < 0) delay = 0;
@@ -19,30 +17,24 @@ int64_t JitterModel::Sample() {
   ++stats_.samples;
   stats_.total_ns += sample;
   if (sample > stats_.max_ns) stats_.max_ns = sample;
-  if (samples_counter_ != nullptr) {
-    samples_counter_->Increment();
-    if (spiked) spikes_counter_->Increment();
-    delay_histogram_->Observe(sample);
-  }
+  if (delay_histogram_ != nullptr) delay_histogram_->Observe(sample);
   return sample;
 }
 
 void JitterModel::BindTo(obs::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    samples_counter_ = nullptr;
-    spikes_counter_ = nullptr;
-    delay_histogram_ = nullptr;
-    return;
-  }
-  samples_counter_ = registry->GetCounter("avdb_sched_jitter_samples_total",
-                                          "jitter delays sampled");
-  spikes_counter_ = registry->GetCounter("avdb_sched_jitter_spikes_total",
-                                         "samples that included a spike");
-  delay_histogram_ = registry->GetHistogram(
-      "avdb_sched_jitter_delay_ns",
-      {0, 500'000, 1'000'000, 2'000'000, 5'000'000, 10'000'000, 20'000'000,
-       50'000'000},
-      "sampled per-event delivery delay");
+  metrics_.Attach(registry,
+                  {{"avdb_sched_jitter_samples_total", &stats_.samples,
+                    "jitter delays sampled"},
+                   {"avdb_sched_jitter_spikes_total", &stats_.spikes,
+                    "samples that included a spike"}});
+  delay_histogram_ =
+      registry == nullptr
+          ? nullptr
+          : registry->GetHistogram(
+                "avdb_sched_jitter_delay_ns",
+                {0, 500'000, 1'000'000, 2'000'000, 5'000'000, 10'000'000,
+                 20'000'000, 50'000'000},
+                "sampled per-event delivery delay");
 }
 
 }  // namespace avdb

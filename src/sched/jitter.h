@@ -56,19 +56,23 @@ class JitterModel {
 
   /// Clears the accumulated stats (the RNG stream continues). Benches that
   /// share one model across scenarios call this between them so one
-  /// scenario's spike count cannot smear into the next report.
-  void Reset() { stats_ = Stats{}; }
+  /// scenario's spike count cannot smear into the next report. The counts
+  /// already attached to a registry stay there.
+  void Reset() {
+    metrics_.FoldToZero();
+    stats_ = Stats{};
+  }
 
-  /// Forwards every sample into shared `avdb_sched_jitter_*` instruments
-  /// (nullptr detaches). Local stats stay authoritative for this model.
+  /// Attaches the sample/spike counts to `registry` under the shared
+  /// `avdb_sched_jitter_*` counters and binds the delay histogram (nullptr
+  /// detaches).
   void BindTo(obs::MetricsRegistry* registry);
 
  private:
   Params params_;
   Rng rng_;
   Stats stats_;
-  obs::Counter* samples_counter_ = nullptr;
-  obs::Counter* spikes_counter_ = nullptr;
+  obs::Attachment metrics_;  // reads stats_; declared after it
   obs::Histogram* delay_histogram_ = nullptr;
 };
 

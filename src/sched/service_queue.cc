@@ -22,4 +22,15 @@ int64_t ServiceQueue::PeekCompletion(int64_t request_ns,
   return std::max(request_ns, free_at_ns_) + service_ns;
 }
 
+void ServiceQueue::BindDeviceMetrics(obs::MetricsRegistry* registry) {
+  metrics_.Attach(registry,
+                  {{"avdb_sched_device_queue_requests_total", &stats_.requests,
+                    "requests served by device arms"},
+                   {"avdb_sched_device_queue_busy_ns_total", &stats_.busy_ns,
+                    "device arm service time"},
+                   {"avdb_sched_device_queue_queued_ns_total",
+                    &stats_.queued_ns,
+                    "time requests waited behind others on a device arm"}});
+}
+
 }  // namespace avdb

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <string>
 
+#include "obs/metrics.h"
+
 namespace avdb {
 
 /// FIFO single-server queue in virtual time: models a device arm, a codec
@@ -42,7 +44,13 @@ class ServiceQueue {
     int64_t max_queue_ns = 0;
   };
   const Stats& stats() const { return stats_; }
-  void ResetStats() { stats_ = Stats(); }
+
+  /// Attaches requests/busy/queued time to `registry` under the shared
+  /// `avdb_sched_device_queue_*` counters, summed over every device arm
+  /// bound (nullptr detaches). For device queues only: channel links keep
+  /// their own `avdb_net_*` counts. `max_queue_ns` is a maximum, not a sum,
+  /// and stays local.
+  void BindDeviceMetrics(obs::MetricsRegistry* registry);
 
   /// Utilization over [0, horizon_ns].
   double Utilization(int64_t horizon_ns) const {
@@ -55,6 +63,7 @@ class ServiceQueue {
   std::string name_;
   int64_t free_at_ns_ = 0;
   Stats stats_;
+  obs::Attachment metrics_;  // reads stats_; declared after it
 };
 
 }  // namespace avdb

@@ -14,11 +14,10 @@ namespace avdb {
 /// how long the stream took to start. These are the numbers the benchmark
 /// harness reports for every figure experiment.
 ///
-/// The local fields stay authoritative per stream (cheap, copyable,
-/// inspectable); BindTo additionally forwards every update into shared
-/// registry instruments so all streams of an experiment aggregate under the
-/// `avdb_sched_stream_*` names. Unbound, the struct behaves exactly as
-/// before — one null check per update.
+/// The fields are the only count (cheap, copyable, inspectable); BindTo
+/// attaches them to a registry, which sums all streams of an experiment
+/// under the `avdb_sched_stream_*` names. The lateness histogram is the one
+/// instrument pushed per update, behind one null check.
 struct StreamStats {
   int64_t elements_presented = 0;
   int64_t elements_skipped = 0;   ///< shed upstream, never presented
@@ -54,20 +53,17 @@ struct StreamStats {
       max_lateness_ns = std::max(max_lateness_ns, lateness_ns);
       if (lateness_ns >= kMissThresholdNs) ++deadline_misses;
     }
-    // The forward body lives out of line: inlined here it bloats every
+    // The observe body lives out of line: inlined here it bloats every
     // sink's per-element loop even when no registry is bound, and the
     // disabled path stops being "one null check" (bench_observability
     // gates on exactly that).
-    if (presented_counter_ != nullptr) ForwardRecord(lateness_ns, bytes);
+    if (lateness_histogram_ != nullptr) ObserveLateness(lateness_ns);
   }
 
   /// Records `n` elements shed before presentation (frame drops, sync
   /// skips). A shed element by definition never made its deadline, so it
   /// feeds MissRate alongside outright misses.
-  void RecordSkipped(int64_t n = 1) {
-    elements_skipped += n;
-    if (skipped_counter_ != nullptr) skipped_counter_->Increment(n);
-  }
+  void RecordSkipped(int64_t n = 1) { elements_skipped += n; }
 
   double MeanLatenessMs() const {
     return elements_presented == 0
@@ -98,51 +94,19 @@ struct StreamStats {
            static_cast<double>(last_element_ns - first_element_ns);
   }
 
-  /// Makes this record a view over the shared per-layer instruments in
-  /// `registry` (nullptr detaches). Counts recorded before binding are not
-  /// replayed.
-  void BindTo(obs::MetricsRegistry* registry) {
-    if (registry == nullptr) {
-      presented_counter_ = nullptr;
-      skipped_counter_ = nullptr;
-      late_counter_ = nullptr;
-      miss_counter_ = nullptr;
-      bytes_counter_ = nullptr;
-      lateness_histogram_ = nullptr;
-      return;
-    }
-    presented_counter_ = registry->GetCounter(
-        "avdb_sched_stream_elements_presented_total",
-        "elements presented across all sinks");
-    skipped_counter_ =
-        registry->GetCounter("avdb_sched_stream_elements_skipped_total",
-                             "elements shed before presentation");
-    late_counter_ = registry->GetCounter(
-        "avdb_sched_stream_late_elements_total",
-        "elements presented after their ideal time");
-    miss_counter_ =
-        registry->GetCounter("avdb_sched_stream_deadline_misses_total",
-                             "elements at least 50 ms late");
-    bytes_counter_ = registry->GetCounter(
-        "avdb_sched_stream_bytes_delivered_total", "payload bytes presented");
-    lateness_histogram_ = registry->GetHistogram(
-        "avdb_sched_stream_lateness_ns",
-        {0, 1'000'000, 5'000'000, 10'000'000, 20'000'000, 50'000'000,
-         100'000'000, 250'000'000, 1'000'000'000},
-        "positive per-element lateness");
-  }
+  /// Attaches the counts to the shared per-layer instruments in `registry`
+  /// and binds the lateness histogram (nullptr detaches). Counts recorded
+  /// before binding are not reported. A copy is a snapshot for reading: its
+  /// counts are not attached.
+  void BindTo(obs::MetricsRegistry* registry);
 
  private:
-  /// Cold half of Record: forwards one presentation into the bound
-  /// instruments. Only reached when BindTo attached a registry.
-  void ForwardRecord(int64_t lateness_ns, int64_t bytes);
+  /// Cold half of Record: observes one presentation's lateness. Only
+  /// reached when BindTo attached a registry.
+  void ObserveLateness(int64_t lateness_ns);
 
-  obs::Counter* presented_counter_ = nullptr;
-  obs::Counter* skipped_counter_ = nullptr;
-  obs::Counter* late_counter_ = nullptr;
-  obs::Counter* miss_counter_ = nullptr;
-  obs::Counter* bytes_counter_ = nullptr;
   obs::Histogram* lateness_histogram_ = nullptr;
+  obs::Attachment metrics_;  // reads the fields above; declared after them
 };
 
 }  // namespace avdb

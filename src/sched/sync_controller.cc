@@ -56,13 +56,6 @@ Status SyncController::Report(const std::string& track, int64_t ideal_ns,
   ++stats_.reports;
   stats_.max_observed_skew_ns =
       std::max(stats_.max_observed_skew_ns, CurrentMaxSkewNs());
-  // Each bound instrument is guarded on its own: BindObservability may have
-  // been handed a registry that produced only some of them, and one bound
-  // counter must not license dereferencing another.
-  if (reports_counter_ != nullptr) reports_counter_->Increment();
-  if (max_skew_gauge_ != nullptr) {
-    max_skew_gauge_->Set(stats_.max_observed_skew_ns);
-  }
   return Status::OK();
 }
 
@@ -88,10 +81,6 @@ Result<int64_t> SyncController::RecommendSkip(const std::string& track,
   // Skipping advances the track by skip periods; reflect that in drift so
   // the recommendation is not repeated before new reports arrive.
   it->second.drift_ns -= static_cast<double>(skip * element_period_ns);
-  if (resyncs_counter_ != nullptr) {
-    resyncs_counter_->Increment();
-    skips_counter_->Increment(skip);
-  }
   if (tracer_ != nullptr) {
     tracer_->Event("sched", "resync", track,
                    "skip " + std::to_string(skip) + " elements");
@@ -102,22 +91,16 @@ Result<int64_t> SyncController::RecommendSkip(const std::string& track,
 void SyncController::BindObservability(obs::MetricsRegistry* registry,
                                        obs::Tracer* tracer) {
   tracer_ = tracer;
-  if (registry == nullptr) {
-    reports_counter_ = nullptr;
-    resyncs_counter_ = nullptr;
-    skips_counter_ = nullptr;
-    max_skew_gauge_ = nullptr;
-    return;
-  }
-  reports_counter_ = registry->GetCounter("avdb_sched_sync_reports_total",
-                                          "presentations reported");
-  resyncs_counter_ = registry->GetCounter("avdb_sched_sync_resyncs_total",
-                                          "nonzero skip recommendations");
-  skips_counter_ =
-      registry->GetCounter("avdb_sched_sync_elements_skipped_total",
-                           "elements skipped to resynchronize");
-  max_skew_gauge_ = registry->GetGauge("avdb_sched_sync_max_skew_ns",
-                                       "largest inter-track skew observed");
+  metrics_.Attach(
+      registry,
+      {{"avdb_sched_sync_reports_total", &stats_.reports,
+        "presentations reported"},
+       {"avdb_sched_sync_resyncs_total", &stats_.resyncs,
+        "nonzero skip recommendations"},
+       {"avdb_sched_sync_elements_skipped_total", &stats_.elements_skipped,
+        "elements skipped to resynchronize"},
+       {"avdb_sched_sync_max_skew_ns", &stats_.max_observed_skew_ns,
+        "largest inter-track skew observed", /*gauge=*/true}});
 }
 
 Result<int64_t> SyncController::DriftNs(const std::string& track) const {

@@ -70,7 +70,7 @@ class SyncController {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Forwards reports/resyncs/skips into shared `avdb_sched_sync_*`
+  /// Attaches the stats to `registry` under the shared `avdb_sched_sync_*`
   /// instruments and traces resynchronizations and track removals.
   void BindObservability(obs::MetricsRegistry* registry, obs::Tracer* tracer);
 
@@ -86,10 +86,7 @@ class SyncController {
   Params params_;
   std::map<std::string, TrackState> tracks_;
   Stats stats_;
-  obs::Counter* reports_counter_ = nullptr;
-  obs::Counter* resyncs_counter_ = nullptr;
-  obs::Counter* skips_counter_ = nullptr;
-  obs::Gauge* max_skew_gauge_ = nullptr;
+  obs::Attachment metrics_;  // reads stats_; declared after it
   obs::Tracer* tracer_ = nullptr;
 };
 

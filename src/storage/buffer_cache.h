@@ -41,7 +41,6 @@ class BufferCache {
     int64_t evictions = 0;
   };
   const Stats& stats() const { return stats_; }
-  void ResetStats() { stats_ = Stats(); }
 
   double HitRate() const {
     const int64_t total = stats_.hits + stats_.misses;

@@ -466,9 +466,6 @@ Status MediaStore::AppendJournal(const Buffer& payload, WorldTime* cost) {
   *cost += written.value();
   journal_append_ += static_cast<int64_t>(record.size());
   ++stats_.journal_records;
-  if (journal_records_counter_ != nullptr) {
-    journal_records_counter_->Increment();
-  }
   return Status::OK();
 }
 
@@ -503,10 +500,6 @@ Status MediaStore::EnsureJournalSpace(int64_t payload_bytes, WorldTime* cost) {
   journal_append_ = JournalHalfStart(other) + static_cast<int64_t>(record.size());
   ++stats_.journal_records;
   ++stats_.journal_compactions;
-  if (journal_records_counter_ != nullptr) {
-    journal_records_counter_->Increment();
-    journal_compactions_counter_->Increment();
-  }
   if (tracer_ != nullptr) {
     tracer_->Event("storage", "journal_compaction", device_->name(),
                    "generation " + std::to_string(generation_));
@@ -618,13 +611,9 @@ Status MediaStore::VerifyPage(const StoredBlob& blob, int64_t page,
     return Status::OK();
   }
   ++stats_.pages_verified;
-  if (pages_verified_counter_ != nullptr) pages_verified_counter_->Increment();
   if (FastHash64(data.data(), data.size()) !=
       blob.page_checksums[static_cast<size_t>(page)]) {
     ++stats_.page_mismatches;
-    if (page_mismatches_counter_ != nullptr) {
-      page_mismatches_counter_->Increment();
-    }
     if (tracer_ != nullptr) {
       tracer_->Event("storage", "page_mismatch", device_->name(),
                      blob.name + " page " + std::to_string(page));
@@ -657,7 +646,7 @@ Status MediaStore::VerifyCoveredPages(const StoredBlob& blob, int64_t offset,
 }
 
 Result<MediaStore::ReadResult> MediaStore::Get(const std::string& name) {
-  if (reads_counter_ != nullptr) reads_counter_->Increment();
+  ++stats_.reads;
   auto blob = Lookup(name);
   if (!blob.ok()) return blob.status();
   if (blob.value()->quarantined) {
@@ -696,9 +685,6 @@ Result<WorldTime> MediaStore::DeviceReadWithRetry(int disc, int64_t offset,
   if (budget != nullptr) {
     if (budget->expired()) {
       ++stats_.deadline_timeouts;
-      if (deadline_timeouts_counter_ != nullptr) {
-        deadline_timeouts_counter_->Increment();
-      }
       return Status::DeadlineExceeded(
           "deadline budget spent before device read");
     }
@@ -716,9 +702,6 @@ Result<WorldTime> MediaStore::DeviceReadWithRetry(int disc, int64_t offset,
           // The device did the work, but past the point anyone can use it:
           // a timed-out read, reported as such instead of delivered late.
           ++stats_.deadline_timeouts;
-          if (deadline_timeouts_counter_ != nullptr) {
-            deadline_timeouts_counter_->Increment();
-          }
           return Status::DeadlineExceeded(
               "device read overran its deadline budget");
         }
@@ -729,7 +712,6 @@ Result<WorldTime> MediaStore::DeviceReadWithRetry(int disc, int64_t offset,
     const Status verdict = state.BeforeRetry(cost.status());
     if (!verdict.ok()) {
       ++stats_.exhausted;
-      if (exhausted_counter_ != nullptr) exhausted_counter_->Increment();
       if (tracer_ != nullptr) {
         tracer_->Event("storage", "retry_exhausted", device_->name(),
                        "disc " + std::to_string(disc) + " offset " +
@@ -739,10 +721,6 @@ Result<WorldTime> MediaStore::DeviceReadWithRetry(int disc, int64_t offset,
     }
     ++stats_.retries;
     stats_.backoff_ns += state.charged_ns() - charged_before;
-    if (retries_counter_ != nullptr) {
-      retries_counter_->Increment();
-      backoff_counter_->Increment(state.charged_ns() - charged_before);
-    }
     if (retries != nullptr) ++*retries;
   }
 }
@@ -805,9 +783,6 @@ Result<MediaStore::ReadResult> MediaStore::ReadRange(const std::string& name,
     // was spent upstream (failover hops, backoff), so even a cache hit
     // would deliver bytes past their deadline.
     ++stats_.deadline_fast_fails;
-    if (deadline_fast_fails_counter_ != nullptr) {
-      deadline_fast_fails_counter_->Increment();
-    }
     return Status::DeadlineExceeded(
         "deadline budget already spent; read of '" + name +
         "' not attempted");
@@ -818,7 +793,7 @@ Result<MediaStore::ReadResult> MediaStore::ReadRange(const std::string& name,
 Result<MediaStore::ReadResult> MediaStore::ReadRangeImpl(
     const std::string& name, int64_t offset, int64_t length,
     DeadlineBudget* budget) {
-  if (reads_counter_ != nullptr) reads_counter_->Increment();
+  ++stats_.reads;
   auto blob = Lookup(name);
   if (!blob.ok()) return blob.status();
   if (offset < 0 || length < 0 ||
@@ -929,7 +904,7 @@ Result<MediaStore::ScrubReport> MediaStore::Scrub() {
       }
       report.duration += read.value().duration;
       ++report.pages_scanned;
-      if (scrub_pages_counter_ != nullptr) scrub_pages_counter_->Increment();
+      ++stats_.scrub_pages;
       // Scrub always verifies, independent of the verify_pages_ knob — a
       // scrub with verification off would be a no-op walk.
       if (page < static_cast<int64_t>(blob.page_checksums.size()) &&
@@ -942,7 +917,7 @@ Result<MediaStore::ScrubReport> MediaStore::Scrub() {
     if (corrupt) {
       blob.quarantined = true;
       report.quarantined.push_back(name);
-      if (quarantines_counter_ != nullptr) quarantines_counter_->Increment();
+      ++stats_.quarantines;
       if (tracer_ != nullptr) {
         tracer_->Event("storage", "quarantine", device_->name(), name);
       }
@@ -965,50 +940,32 @@ Result<MediaStore::ScrubReport> MediaStore::Scrub() {
 void MediaStore::BindObservability(obs::MetricsRegistry* registry,
                                    obs::Tracer* tracer) {
   tracer_ = tracer;
-  if (registry == nullptr) {
-    reads_counter_ = nullptr;
-    deadline_fast_fails_counter_ = nullptr;
-    deadline_timeouts_counter_ = nullptr;
-    retries_counter_ = nullptr;
-    exhausted_counter_ = nullptr;
-    backoff_counter_ = nullptr;
-    pages_verified_counter_ = nullptr;
-    page_mismatches_counter_ = nullptr;
-    journal_records_counter_ = nullptr;
-    journal_compactions_counter_ = nullptr;
-    scrub_pages_counter_ = nullptr;
-    quarantines_counter_ = nullptr;
-    return;
-  }
-  reads_counter_ = registry->GetCounter("avdb_storage_reads_total",
-                                        "Get/ReadRange requests served");
-  deadline_fast_fails_counter_ =
-      registry->GetCounter("avdb_storage_deadline_fast_fails_total",
-                           "reads refused because the budget was spent");
-  deadline_timeouts_counter_ =
-      registry->GetCounter("avdb_storage_deadline_timeouts_total",
-                           "reads cut off mid-operation by the budget");
-  retries_counter_ = registry->GetCounter(
-      "avdb_storage_retries_total", "transient device faults absorbed");
-  exhausted_counter_ =
-      registry->GetCounter("avdb_storage_retry_exhausted_total",
-                           "reads failed after every retry attempt");
-  backoff_counter_ = registry->GetCounter(
-      "avdb_storage_backoff_ns_total", "modeled time charged to retry backoff");
-  pages_verified_counter_ = registry->GetCounter(
-      "avdb_storage_pages_verified_total", "page checksums checked on reads");
-  page_mismatches_counter_ =
-      registry->GetCounter("avdb_storage_page_mismatches_total",
-                           "page checks that failed (DataLoss)");
-  journal_records_counter_ = registry->GetCounter(
-      "avdb_storage_journal_records_total", "journal records appended");
-  journal_compactions_counter_ =
-      registry->GetCounter("avdb_storage_journal_compactions_total",
-                           "journal checkpoint + superblock flips");
-  scrub_pages_counter_ = registry->GetCounter("avdb_storage_scrub_pages_total",
-                                              "pages scanned by Scrub");
-  quarantines_counter_ = registry->GetCounter(
-      "avdb_storage_quarantines_total", "blobs quarantined on corrupt pages");
+  metrics_.Attach(
+      registry,
+      {{"avdb_storage_reads_total", &stats_.reads,
+        "Get/ReadRange requests served"},
+       {"avdb_storage_deadline_fast_fails_total", &stats_.deadline_fast_fails,
+        "reads refused because the budget was spent"},
+       {"avdb_storage_deadline_timeouts_total", &stats_.deadline_timeouts,
+        "reads cut off mid-operation by the budget"},
+       {"avdb_storage_retries_total", &stats_.retries,
+        "transient device faults absorbed"},
+       {"avdb_storage_retry_exhausted_total", &stats_.exhausted,
+        "reads failed after every retry attempt"},
+       {"avdb_storage_backoff_ns_total", &stats_.backoff_ns,
+        "modeled time charged to retry backoff"},
+       {"avdb_storage_pages_verified_total", &stats_.pages_verified,
+        "page checksums checked on reads"},
+       {"avdb_storage_page_mismatches_total", &stats_.page_mismatches,
+        "page checks that failed (DataLoss)"},
+       {"avdb_storage_journal_records_total", &stats_.journal_records,
+        "journal records appended"},
+       {"avdb_storage_journal_compactions_total", &stats_.journal_compactions,
+        "journal checkpoint + superblock flips"},
+       {"avdb_storage_scrub_pages_total", &stats_.scrub_pages,
+        "pages scanned by Scrub"},
+       {"avdb_storage_quarantines_total", &stats_.quarantines,
+        "blobs quarantined on corrupt pages"}});
 }
 
 bool MediaStore::Contains(const std::string& name) const {

@@ -188,6 +188,7 @@ class MediaStore {
   const RetryPolicy& retry_policy() const { return retry_policy_; }
 
   struct Stats {
+    int64_t reads = 0;            ///< Get/ReadRange requests served
     int64_t retries = 0;          ///< transient faults absorbed
     int64_t exhausted = 0;        ///< reads failed after all attempts
     int64_t backoff_ns = 0;       ///< modeled time charged to backoff
@@ -197,15 +198,15 @@ class MediaStore {
     int64_t page_mismatches = 0;  ///< page checks that failed (DataLoss)
     int64_t journal_records = 0;  ///< records appended since mount
     int64_t journal_compactions = 0;
+    int64_t scrub_pages = 0;      ///< pages scanned by Scrub
+    int64_t quarantines = 0;      ///< blobs quarantined on corrupt pages
   };
   const Stats& stats() const { return stats_; }
-  void ResetStats() { stats_ = Stats(); }
 
-  /// Forwards every stat update into shared `avdb_storage_*` instruments
-  /// and, when `tracer` is set, records recover/scrub/quarantine/
+  /// Attaches the stats to `registry` under the shared `avdb_storage_*`
+  /// counters and, when `tracer` is set, records recover/scrub/quarantine/
   /// retry-exhausted milestones as trace events (actor = device name).
-  /// nullptr detaches; unbound the store is byte- and cost-identical to the
-  /// uninstrumented one.
+  /// nullptr detaches.
   void BindObservability(obs::MetricsRegistry* registry, obs::Tracer* tracer);
 
  private:
@@ -270,18 +271,7 @@ class MediaStore {
   std::map<std::string, StoredBlob> directory_;
   RetryPolicy retry_policy_;
   Stats stats_;
-  obs::Counter* reads_counter_ = nullptr;
-  obs::Counter* retries_counter_ = nullptr;
-  obs::Counter* exhausted_counter_ = nullptr;
-  obs::Counter* backoff_counter_ = nullptr;
-  obs::Counter* deadline_fast_fails_counter_ = nullptr;
-  obs::Counter* deadline_timeouts_counter_ = nullptr;
-  obs::Counter* pages_verified_counter_ = nullptr;
-  obs::Counter* page_mismatches_counter_ = nullptr;
-  obs::Counter* journal_records_counter_ = nullptr;
-  obs::Counter* journal_compactions_counter_ = nullptr;
-  obs::Counter* scrub_pages_counter_ = nullptr;
-  obs::Counter* quarantines_counter_ = nullptr;
+  obs::Attachment metrics_;  // reads stats_; declared after it
   obs::Tracer* tracer_ = nullptr;
 
   bool mounted_ = false;

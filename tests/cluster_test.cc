@@ -252,6 +252,39 @@ TEST(StreamRouterTest, FailsOverOnNodeCrashAndOpensBreaker) {
   EXPECT_EQ(b->stats().served, 6);
 }
 
+TEST(StreamRouterTest, AllBreakersOpenSaysSoInsteadOfNoReplicas) {
+  auto a = MakeReplica("a");
+  auto b = MakeReplica("b");
+  FaultInjector crash_a(FaultSpec::NodeCrash(1), 17);
+  FaultInjector crash_b(FaultSpec::NodeCrash(1), 18);
+  a->set_fault_injector(&crash_a);
+  b->set_fault_injector(&crash_b);
+
+  ManualClock clock;
+  StreamRouter router("router", TestPolicy(), clock.fn());
+  router.AddReplica(a, nullptr);
+  router.AddReplica(b, nullptr);
+  // No clock step: the breakers stay open for their whole cooldown.
+  for (int i = 0; i < 10 && router.stats().breaker_opens < 2; ++i) {
+    EXPECT_FALSE(router.Fetch("clip", 0, 4096, kSecond).ok());
+  }
+  ASSERT_EQ(router.stats().breaker_opens, 2);
+
+  auto refused = router.Fetch("clip", 0, 4096, kSecond);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(refused.status().message().find("circuit breaker is open"),
+            std::string::npos)
+      << refused.status();
+  EXPECT_EQ(refused.status().message().find("no replicas configured"),
+            std::string::npos);
+
+  StreamRouter empty("empty", TestPolicy(), clock.fn());
+  auto none = empty.Fetch("clip", 0, 4096, kSecond);
+  ASSERT_FALSE(none.ok());
+  EXPECT_EQ(none.status().message(), "no replicas configured");
+}
+
 TEST(StreamRouterTest, HedgesSlowPrimaryAndCountsWins) {
   // Replica a is much faster (RAM disk) so it wins selection; replica b is
   // the hedge target. After the latency window arms, a struggling a (slow

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -134,6 +135,107 @@ TEST(MetricsRegistry, ExportsAreByteStable) {
   EXPECT_NE(prom.find("avdb_test_lat_ns_bucket{le=\"+Inf\"} 3"),
             std::string::npos);
   EXPECT_NE(prom.find("avdb_test_lat_ns_count 3"), std::string::npos);
+}
+
+// ------------------------------------------------------------ Attachment --
+
+/// A component-shaped owner: its own plain cells plus the binding that
+/// exports them.
+struct Owner {
+  int64_t reads = 0;
+  int64_t bytes = 0;
+  int64_t level = 0;
+  Attachment metrics;
+
+  void Bind(MetricsRegistry* registry) {
+    metrics.Attach(registry, {{"avdb_test_reads_total", &reads, "reads"},
+                              {"avdb_test_bytes_total", &bytes, "bytes"},
+                              {"avdb_test_depth_level", &level, "depth",
+                               /*gauge=*/true}});
+  }
+};
+
+TEST(Attachment, SumsEveryCellUnderOneNameFromItsAttachValue) {
+  MetricsRegistry registry;
+  Owner a;
+  Owner b;
+  a.reads = 5;  // counted before binding: never reported
+  a.Bind(&registry);
+  b.Bind(&registry);
+  a.reads += 2;
+  b.reads += 3;
+  b.bytes += 100;
+  a.level = 4;
+  b.level = 1;
+  registry.GetCounter("avdb_test_reads_total")->Increment(10);  // pushed
+  EXPECT_EQ(registry.GetCounter("avdb_test_reads_total")->Value(), 15);
+  EXPECT_EQ(registry.GetCounter("avdb_test_bytes_total")->Value(), 100);
+  EXPECT_EQ(registry.GetGauge("avdb_test_depth_level")->Value(), 5);
+  EXPECT_NE(registry.Json().find("\"avdb_test_reads_total\":15"),
+            std::string::npos);
+  EXPECT_NE(registry.PrometheusText().find("avdb_test_bytes_total 100\n"),
+            std::string::npos);
+}
+
+TEST(Attachment, DetachAndDestructionKeepCountsAndLastLevel) {
+  MetricsRegistry registry;
+  Counter* reads = registry.GetCounter("avdb_test_reads_total");
+  Gauge* level = registry.GetGauge("avdb_test_depth_level");
+  {
+    Owner a;
+    a.Bind(&registry);
+    a.reads = 7;
+    a.level = 3;
+    a.Bind(&registry);  // rebinding is continuous: no double count
+    a.reads = 9;
+    EXPECT_EQ(reads->Value(), 9);
+    EXPECT_EQ(level->Value(), 3);
+    a.Bind(nullptr);
+    a.reads = 100;  // detached: no longer read
+    a.level = 8;
+    EXPECT_EQ(reads->Value(), 9);
+    EXPECT_EQ(level->Value(), 3);
+    a.Bind(&registry);
+    a.reads = 101;
+  }  // destroyed attached: the final delta folds in
+  EXPECT_EQ(reads->Value(), 10);
+  EXPECT_EQ(level->Value(), 8);
+}
+
+TEST(Attachment, FoldToZeroKeepsCountsAcrossAnOwnerReset) {
+  MetricsRegistry registry;
+  Owner a;
+  a.Bind(&registry);
+  a.reads = 6;
+  a.metrics.FoldToZero();
+  a.reads = 0;  // the owner's reset
+  a.reads = 2;
+  EXPECT_EQ(registry.GetCounter("avdb_test_reads_total")->Value(), 8);
+}
+
+TEST(Attachment, CopiesStartDetachedAndEitherSideMayOutliveTheOther) {
+  auto registry = std::make_unique<MetricsRegistry>();
+  Owner a;
+  a.Bind(registry.get());
+  a.reads = 4;
+  Owner copy = a;
+  copy.reads += 50;  // the copy's cells are not attached
+  EXPECT_EQ(registry->GetCounter("avdb_test_reads_total")->Value(), 4);
+  registry.reset();  // the registry dies first; the owner detaches later
+  a.reads = 5;
+}
+
+TEST(Attachment, ManyShortLivedOwnersLeaveOnlyTheirCounts) {
+  MetricsRegistry registry;
+  for (int i = 0; i < 1000; ++i) {
+    Owner o;
+    o.Bind(&registry);
+    o.reads = 1;
+    o.bytes = i;
+  }
+  EXPECT_EQ(registry.GetCounter("avdb_test_reads_total")->Value(), 1000);
+  EXPECT_EQ(registry.GetCounter("avdb_test_bytes_total")->Value(),
+            999 * 1000 / 2);
 }
 
 TEST(JsonEscapeTest, EscapesControlAndQuotes) {

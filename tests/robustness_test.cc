@@ -149,6 +149,34 @@ TEST(CorruptionTest, StoreDetectsBitrotViaChecksum) {
   EXPECT_EQ(read.status().code(), StatusCode::kDataLoss);
 }
 
+// ------------------------------------------------------- hostile predicates --
+
+TEST(PredicateParserTest, DeepNestingFailsWithStatusNotStackOverflow) {
+  // 10^5 levels of `not` or `(` once overflowed the stack (one recursive
+  // ParseUnary per level); they must fail as InvalidArgument instead.
+  const int kLevels = 100000;
+  std::string nots;
+  for (int i = 0; i < kLevels; ++i) nots += "not ";
+  auto deep_not = ParsePredicate(nots + "x = 1");
+  ASSERT_FALSE(deep_not.ok());
+  EXPECT_EQ(deep_not.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(deep_not.status().message().find("nesting"), std::string::npos);
+
+  const std::string deep_parens = std::string(kLevels, '(') + "x = 1" +
+                                  std::string(kLevels, ')');
+  auto deep_paren = ParsePredicate(deep_parens);
+  ASSERT_FALSE(deep_paren.ok());
+  EXPECT_EQ(deep_paren.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(deep_paren.status().message().find("nesting"), std::string::npos);
+
+  // Ordinary nesting still parses and evaluates.
+  std::string shallow;
+  for (int i = 0; i < 100; ++i) shallow += "not (";
+  shallow += "x = 1";
+  for (int i = 0; i < 100; ++i) shallow += ")";
+  EXPECT_TRUE(ParsePredicate(shallow).ok());
+}
+
 // ----------------------------------------------------- cross-module invariants --
 
 TEST(InvariantTest, AdmissionLedgerBalancesUnderRandomOps) {

@@ -423,7 +423,9 @@ TEST(JitterTest, SpikesHappenAtConfiguredRate) {
 }
 
 TEST(JitterTest, ResetClearsStatsOnly) {
+  obs::MetricsRegistry registry;
   JitterModel jm = JitterModel::Workstation(42);
+  jm.BindTo(&registry);
   for (int i = 0; i < 100; ++i) jm.Sample();
   ASSERT_EQ(jm.stats().samples, 100);
   jm.Reset();
@@ -436,6 +438,9 @@ TEST(JitterTest, ResetClearsStatsOnly) {
   for (int i = 0; i < 100; ++i) fresh.Sample();
   for (int i = 0; i < 50; ++i) EXPECT_EQ(jm.Sample(), fresh.Sample());
   EXPECT_EQ(jm.stats().samples, 50);
+  // The registry's count spans the reset: it never goes down.
+  EXPECT_EQ(registry.GetCounter("avdb_sched_jitter_samples_total")->Value(),
+            150);
 }
 
 // --------------------------------------------------------- SyncController --
@@ -609,7 +614,7 @@ TEST(StreamStatsTest, BindForwardsIntoRegistry) {
   EXPECT_EQ(
       registry.GetCounter("avdb_sched_stream_bytes_delivered_total")->Value(),
       100);
-  // Local fields stay authoritative alongside the shared instruments.
+  // The registry reads the record's own fields: one count, two views.
   EXPECT_EQ(stats.elements_presented, 1);
   stats.BindTo(nullptr);
   stats.Record(1, 0, 1);  // detached: registry must not move

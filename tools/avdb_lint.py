@@ -58,6 +58,11 @@ Rules (see DESIGN.md §10 "Static correctness model"):
                      store write from the cluster layer bypasses the
                      quorum/repair path and silently diverges replicas.
                      The serving arms themselves are allowlisted.
+  double-count       No obs::Counter* or obs::Gauge* member in a class that
+                     declares `struct Stats`: such a class already counts
+                     in its own Stats cells, and a pushed instrument beside
+                     them counts each fact twice. Attach the cells to the
+                     registry with obs::Attachment instead.
 
 Suppressions live in tools/avdb_lint_allowlist.json — machine-readable,
 justification required, stale entries are themselves errors. Never silence
@@ -80,7 +85,7 @@ import sys
 LINT_RULES = frozenset({
     "wallclock", "naked-new", "check-in-hot-path", "layer-cycle",
     "void-cast-call", "metric-prefix", "plane-copy", "naked-retry",
-    "direct-replica-write",
+    "direct-replica-write", "double-count",
 })
 ANALYZE_RULES = frozenset({
     "lock-order", "lock-foreign-call", "lease-escape",
@@ -146,6 +151,12 @@ DIRECT_WRITE_DIRS = ("src/cluster/",)
 DIRECT_REPLICA_WRITE_RE = re.compile(
     r"(?:\bstore\(\)\s*\.|\bstore_\s*(?:->|\.)|_store\s*(?:\.|->))"
     r"\s*(?:Put|Delete)\s*\(")
+
+# A class/struct head that opens its body on this line: `class X {`,
+# `struct X final : public Y {`.
+CLASS_HEAD_RE = re.compile(r"\b(?:class|struct)\s+(\w+)[^;(){]*\{")
+STATS_DECL_RE = re.compile(r"\bstruct\s+Stats\b")
+PUSHED_MEMBER_RE = re.compile(r"\bobs::(?:Counter|Gauge)\s*\*\s*\w+")
 
 SOURCE_EXTS = (".cc", ".h", ".cpp", ".hpp")
 
@@ -310,6 +321,41 @@ def lint_file(rel_path, lines):
                         f'instrument "{m.group(1)}" claims layer '
                         f"{m.group(2)!r} but is defined in layer {layer!r}"))
 
+    if in_src:
+        violations.extend(double_count_violations(rel_path, stripped, lines))
+    return violations
+
+
+def double_count_violations(rel_path, stripped, lines):
+    """Counter/Gauge pointer members of classes that declare `struct Stats`.
+    Tracks brace depth line by line; a member or Stats declaration belongs
+    to the innermost class whose body is open at that depth."""
+    violations = []
+    scopes = []  # one entry per open brace: a class record or None
+    for idx, line in enumerate(stripped, start=1):
+        owner = next((s for s in reversed(scopes) if s is not None), None)
+        at_class_depth = bool(scopes) and scopes[-1] is not None
+        if owner is not None and at_class_depth:
+            if STATS_DECL_RE.search(line):
+                owner["stats"] = True
+            if PUSHED_MEMBER_RE.search(line):
+                owner["members"].append(idx)
+        head = CLASS_HEAD_RE.search(line)
+        for pos, c in enumerate(line):
+            if c == "{":
+                is_class = head is not None and pos == line.find(
+                    "{", head.start())
+                scopes.append({"name": head.group(1), "stats": False,
+                               "members": []} if is_class else None)
+            elif c == "}" and scopes:
+                closed = scopes.pop()
+                if closed is not None and closed["stats"]:
+                    for member in closed["members"]:
+                        violations.append(Violation(
+                            "double-count", rel_path, member,
+                            f"{closed['name']} declares struct Stats but "
+                            f"also holds `{lines[member - 1].strip()}`: "
+                            "attach the Stats cells instead"))
     return violations
 
 
