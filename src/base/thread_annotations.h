@@ -4,10 +4,11 @@
 /// Clang thread-safety-analysis attributes behind AVDB_ macros.
 ///
 /// The annotations let `-Wthread-safety` prove, at compile time and on every
-/// path, the invariants the concurrent subsystems (WorkPool, BufferPool)
-/// otherwise only enforce under TSan on the paths tests happen to execute:
-/// "this field is only touched while this mutex is held", "this function
-/// must be entered with the lock held", "this scope releases on exit".
+/// path, the invariants the concurrent subsystems (BufferPool, the metrics
+/// registry, the tracer) otherwise only enforce under TSan on the paths
+/// tests happen to execute: "this field is only touched while this mutex is
+/// held", "this function must be entered with the lock held", "this scope
+/// releases on exit".
 ///
 /// On compilers without the attribute (GCC, MSVC) every macro expands to
 /// nothing, so the annotated tree builds identically everywhere; the

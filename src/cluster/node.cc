@@ -235,12 +235,13 @@ Status ServerNode::Revive() {
   if (store_->mounted()) {
     // Crash-restart: the RAM directory died with the process; rebuild a
     // fresh store over the same media and recover from superblock +
-    // journal. Tuning (retry policy, verification) is node configuration,
-    // so it survives the restart.
+    // journal. Tuning (retry policy, verification) and the observability
+    // binding are node configuration, so they survive the restart.
     auto fresh = std::make_shared<MediaStore>(store_->device_ptr(),
                                               store_->buffer_cache());
     fresh->set_retry_policy(store_->retry_policy());
     fresh->set_verify_pages(store_->verify_pages());
+    fresh->BindObservability(store_->metrics_registry(), store_->tracer());
     auto recovered = fresh->Recover();
     if (!recovered.ok()) return recovered.status();
     store_ = std::move(fresh);

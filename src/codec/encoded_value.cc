@@ -33,16 +33,6 @@ Result<VideoFrame> EncodedVideoValue::Frame(int64_t index) const {
   return session_->DecodeFrame(index);
 }
 
-Result<std::vector<VideoFrame>> EncodedVideoValue::Frames(
-    int64_t first, int64_t count) const {
-  if (session_ == nullptr) {
-    auto session = codec_->NewDecoder(video_);
-    if (!session.ok()) return session.status();
-    session_ = std::move(session).value();
-  }
-  return session_->DecodeRange(first, count);
-}
-
 int64_t EncodedVideoValue::FramesDecodedInternally() const {
   return session_ == nullptr ? 0 : session_->FramesDecodedInternally();
 }

@@ -27,10 +27,6 @@ class EncodedVideoValue final : public VideoValue {
     return static_cast<int64_t>(video_.frames.size());
   }
   Result<VideoFrame> Frame(int64_t index) const override;
-  /// Bulk decode through the session's DecodeRange — parallel across the
-  /// work pool when the stream's params.concurrency > 1.
-  Result<std::vector<VideoFrame>> Frames(int64_t first,
-                                         int64_t count) const override;
   int64_t StoredBytes() const override { return video_.TotalBytes(); }
   int64_t StoredFrameBytes(int64_t index) const override {
     if (index < 0 || index >= ElementCount()) return 0;

@@ -6,7 +6,6 @@
 
 #include "base/buffer_pool.h"
 #include "base/logging.h"
-#include "base/work_pool.h"
 #include "codec/bitio.h"
 #include "codec/block_transform.h"
 #include "codec/intra_codec.h"
@@ -297,39 +296,6 @@ class InterDecoderSession final : public VideoDecoderSession {
   int64_t decoded_ = 0;
 };
 
-// Encodes one closed GOP: frames[0] becomes the I-frame (access point),
-// the rest are P-chained off the running reconstruction. A pure function
-// of the raw frames, so GOPs can encode on any thread in any order and
-// still produce the bytes the serial loop would.
-Result<std::vector<EncodedFrame>> EncodeGop(
-    const std::vector<VideoFrame>& frames, const VideoCodecParams& params) {
-  std::vector<EncodedFrame> out;
-  out.reserve(frames.size());
-  VideoFrame recon;
-  for (size_t k = 0; k < frames.size(); ++k) {
-    const VideoFrame& frame = frames[k];
-    EncodedFrame ef;
-    if (k == 0) {
-      ef.is_intra = true;
-      ef.data = IntraCodec::EncodeFrame(frame, params.quality);
-      // Reconstruct the I-frame the way the decoder sees it.
-      auto decoded =
-          IntraCodec::DecodeFrame(ef.data, frame.width(), frame.height(),
-                                  frame.depth_bits(), params.quality);
-      if (!decoded.ok()) return decoded.status();
-      recon = std::move(decoded).value();
-    } else {
-      ef.is_intra = false;
-      VideoFrame new_recon;
-      ef.data = EncodePFrame(frame, recon, params.quality,
-                             params.search_range, &new_recon);
-      recon = std::move(new_recon);
-    }
-    out.push_back(std::move(ef));
-  }
-  return out;
-}
-
 }  // namespace
 
 Result<EncodedVideo> InterCodec::Encode(const VideoValue& value,
@@ -350,42 +316,28 @@ Result<EncodedVideo> InterCodec::Encode(const VideoValue& value,
   const int64_t n = value.FrameCount();
   out.frames.reserve(static_cast<size_t>(n));
 
-  // GOPs are closed units (every GOP starts with an I-frame, P-frames
-  // never reference across the boundary), so they are the parallel grain:
-  // intra-GOP frame dependencies stay serial inside EncodeGop, whole GOPs
-  // fan out across the work pool. Raw frames are fetched serially
-  // (VideoValue::Frame need not be thread-safe), a bounded batch of GOPs
-  // at a time.
-  const int64_t gop = params.gop_size;
-  const int64_t gop_count = (n + gop - 1) / gop;
-  const int64_t gop_batch =
-      params.concurrency <= 1
-          ? 1
-          : std::max<int64_t>(static_cast<int64_t>(params.concurrency) * 2, 4);
-  for (int64_t g0 = 0; g0 < gop_count; g0 += gop_batch) {
-    const int64_t batch = std::min(gop_batch, gop_count - g0);
-    std::vector<std::vector<VideoFrame>> raw(static_cast<size_t>(batch));
-    for (int64_t g = 0; g < batch; ++g) {
-      const int64_t first = (g0 + g) * gop;
-      const int64_t count = std::min(gop, n - first);
-      raw[static_cast<size_t>(g)].reserve(static_cast<size_t>(count));
-      for (int64_t i = 0; i < count; ++i) {
-        auto frame = value.Frame(first + i);
-        if (!frame.ok()) return frame.status();
-        raw[static_cast<size_t>(g)].push_back(std::move(frame).value());
-      }
+  // Every GOP opens with an I-frame (the access point); the rest are
+  // P-chained off the running reconstruction, which starts afresh at each
+  // I-frame the way the decoder sees it.
+  VideoFrame recon;
+  for (int64_t i = 0; i < n; ++i) {
+    AVDB_ASSIGN_OR_RETURN(VideoFrame frame, value.Frame(i));
+    EncodedFrame ef;
+    if (i % params.gop_size == 0) {
+      ef.is_intra = true;
+      ef.data = IntraCodec::EncodeFrame(frame, params.quality);
+      AVDB_ASSIGN_OR_RETURN(
+          recon, IntraCodec::DecodeFrame(ef.data, frame.width(),
+                                         frame.height(), frame.depth_bits(),
+                                         params.quality));
+    } else {
+      ef.is_intra = false;
+      VideoFrame new_recon;
+      ef.data = EncodePFrame(frame, recon, params.quality,
+                             params.search_range, &new_recon);
+      recon = std::move(new_recon);
     }
-    std::vector<Result<std::vector<EncodedFrame>>> encoded =
-        WorkPool::Shared().ParallelMap<Result<std::vector<EncodedFrame>>>(
-            params.concurrency, batch, [&](int64_t g) {
-              return EncodeGop(raw[static_cast<size_t>(g)], params);
-            });
-    for (auto& gop_frames : encoded) {
-      if (!gop_frames.ok()) return gop_frames.status();
-      for (EncodedFrame& ef : gop_frames.value()) {
-        out.frames.push_back(std::move(ef));
-      }
-    }
+    out.frames.push_back(std::move(ef));
   }
   return out;
 }

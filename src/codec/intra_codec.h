@@ -12,33 +12,26 @@ namespace avdb {
 /// stand-in for the paper's `JPEG_VideoValue` encoding (see DESIGN.md §5).
 ///
 /// Frame layout: each colour plane is entropy-coded into its own
-/// byte-aligned sub-stream prefixed with a u32 byte size. The prefixes
-/// make planes independently addressable, so both encode and decode of a
-/// single frame can fan plane work out across the work pool with output
-/// byte-identical to the serial path.
+/// byte-aligned sub-stream prefixed with a u32 byte size; the decoder
+/// checks every prefix against the bytes actually present.
 class IntraCodec final : public VideoCodec {
  public:
   std::string name() const override { return "avdb-intra"; }
   EncodingFamily family() const override { return EncodingFamily::kIntra; }
 
-  /// Parallel over frames when params.concurrency > 1 (frames are
-  /// independent coding units); output is byte-identical to serial.
   Result<EncodedVideo> Encode(const VideoValue& value,
                               const VideoCodecParams& params) const override;
   Result<std::unique_ptr<VideoDecoderSession>> NewDecoder(
       const EncodedVideo& video) const override;
 
   /// Encodes one frame independently (shared with the inter codec's
-  /// I-frames and the streaming encoder activity). `concurrency` > 1
-  /// spreads the colour planes across the work pool.
-  static Buffer EncodeFrame(const VideoFrame& frame, int quality,
-                            int concurrency = 1);
+  /// I-frames and the streaming encoder activity).
+  static Buffer EncodeFrame(const VideoFrame& frame, int quality);
 
-  /// Decodes one independently coded frame of the given geometry;
-  /// `concurrency` > 1 decodes the colour planes in parallel.
+  /// Decodes one independently coded frame of the given geometry.
   static Result<VideoFrame> DecodeFrame(const Buffer& data, int width,
                                         int height, int depth_bits,
-                                        int quality, int concurrency = 1);
+                                        int quality);
 };
 
 }  // namespace avdb

@@ -1,8 +1,5 @@
 #include "codec/scalable_codec.h"
 
-#include <algorithm>
-
-#include "base/work_pool.h"
 #include "codec/bitio.h"
 #include "codec/block_transform.h"
 #include "codec/simd/kernels.h"
@@ -140,29 +137,20 @@ std::vector<Buffer> EncodePlaneLayers(const PlaneI16& full, int layer_count,
   return layers;
 }
 
-// Encodes one full frame into layer_count layers per plane. Enhancement
-// layers chain on the layer below, so layers stay serial; the colour
-// planes are the independent unit and fan out across the pool when
-// plane_concurrency > 1. Pure function of the frame, so whole frames can
-// also run on any pool thread. Packing: layer 0 of all planes goes into
-// `data` (u32-size-prefixed), enhancement layer L plane p lands at
+// Encodes one full frame into layer_count layers per plane; enhancement
+// layers chain on the layer below. Packing: layer 0 of all planes goes
+// into `data` (u32-size-prefixed), enhancement layer L plane p lands at
 // layers[(L-1)*planes + p].
 EncodedFrame EncodeScalableFrame(const VideoFrame& frame,
-                                 const VideoCodecParams& params,
-                                 int plane_concurrency) {
+                                 const VideoCodecParams& params) {
   const int planes = frame.plane_count();
   EncodedFrame ef;
   ef.is_intra = true;
   ef.layers.resize(static_cast<size_t>(params.layer_count - 1) * planes);
-  std::vector<std::vector<Buffer>> per_plane =
-      WorkPool::Shared().ParallelMap<std::vector<Buffer>>(
-          std::min(plane_concurrency, planes), planes, [&](int64_t p) {
-            const PlaneI16 full = ToI16(frame.plane(static_cast<int>(p)));
-            return EncodePlaneLayers(full, params.layer_count, params.quality);
-          });
   Buffer base;
   for (int p = 0; p < planes; ++p) {
-    std::vector<Buffer>& layer_bits = per_plane[static_cast<size_t>(p)];
+    std::vector<Buffer> layer_bits = EncodePlaneLayers(
+        ToI16(frame.plane(p)), params.layer_count, params.quality);
     base.AppendU32(static_cast<uint32_t>(layer_bits[0].size()));
     base.AppendBuffer(layer_bits[0]);
     for (int l = 1; l < params.layer_count; ++l) {
@@ -206,43 +194,6 @@ class ScalableDecoderSession final : public VideoDecoderSession {
       : video_(video), layers_(layers) {}
 
   Result<VideoFrame> DecodeFrame(int64_t index) override {
-    AVDB_ASSIGN_OR_RETURN(VideoFrame frame,
-                          DecodeOne(index, video_.params.concurrency));
-    ++decoded_;
-    return frame;
-  }
-
-  Result<std::vector<VideoFrame>> DecodeRange(int64_t first,
-                                              int64_t count) override {
-    if (first < 0 || count < 0 ||
-        first + count > static_cast<int64_t>(video_.frames.size())) {
-      return Status::InvalidArgument("decode range out of bounds");
-    }
-    const int width = video_.params.concurrency;
-    if (width <= 1 || count <= 1) {
-      return VideoDecoderSession::DecodeRange(first, count);
-    }
-    // Every frame is intra-coded, so frames are the parallel grain here
-    // (planes stay serial inside each task).
-    std::vector<Result<VideoFrame>> frames =
-        WorkPool::Shared().ParallelMap<Result<VideoFrame>>(
-            width, count, [&](int64_t i) {
-              return DecodeOne(first + i, /*plane_concurrency=*/1);
-            });
-    std::vector<VideoFrame> out;
-    out.reserve(static_cast<size_t>(count));
-    for (auto& f : frames) {
-      if (!f.ok()) return f.status();
-      out.push_back(std::move(f).value());
-    }
-    decoded_ += count;
-    return out;
-  }
-
-  int64_t FramesDecodedInternally() const override { return decoded_; }
-
- private:
-  Result<VideoFrame> DecodeOne(int64_t index, int plane_concurrency) const {
     if (index < 0 || index >= static_cast<int64_t>(video_.frames.size())) {
       return Status::InvalidArgument("frame index out of range");
     }
@@ -270,35 +221,31 @@ class ScalableDecoderSession final : public VideoDecoderSession {
       AVDB_RETURN_IF_ERROR(base_reader.ReadBytes(b.data(), size.value()));
       base_planes.push_back(std::move(b));
     }
-    // Planes chain layers internally but are independent of each other;
-    // storage is planar, so concurrent plane tasks write disjoint
-    // contiguous runs and never touch the same byte.
-    std::vector<Status> statuses = WorkPool::Shared().ParallelMap<Status>(
-        std::min(plane_concurrency, planes), planes, [&](int64_t p64) {
-          const int p = static_cast<int>(p64);
-          std::vector<const Buffer*> bits;
-          bits.push_back(&base_planes[static_cast<size_t>(p)]);
-          for (int l = 1; l < use; ++l) {
-            const size_t li = static_cast<size_t>(l - 1) * planes + p;
-            if (li >= ef.layers.size()) {
-              return Status::DataLoss("missing enhancement layer");
-            }
-            bits.push_back(&ef.layers[li]);
-          }
-          auto plane = DecodePlaneLayers(bits, use, t.width(), t.height(),
-                                         video_.params.quality, stored);
-          if (!plane.ok()) return plane.status();
-          const PlaneSpan out = frame.plane_span(p);
-          simd::ActiveKernels().i16_center_to_u8(plane.value().data.data(),
-                                                 out.data(), out.size());
-          return Status::OK();
-        });
-    for (const Status& s : statuses) {
-      if (!s.ok()) return s;
+    // Planes chain layers internally but are independent of each other.
+    for (int p = 0; p < planes; ++p) {
+      std::vector<const Buffer*> bits;
+      bits.push_back(&base_planes[static_cast<size_t>(p)]);
+      for (int l = 1; l < use; ++l) {
+        const size_t li = static_cast<size_t>(l - 1) * planes + p;
+        if (li >= ef.layers.size()) {
+          return Status::DataLoss("missing enhancement layer");
+        }
+        bits.push_back(&ef.layers[li]);
+      }
+      auto plane = DecodePlaneLayers(bits, use, t.width(), t.height(),
+                                     video_.params.quality, stored);
+      if (!plane.ok()) return plane.status();
+      const PlaneSpan out = frame.plane_span(p);
+      simd::ActiveKernels().i16_center_to_u8(plane.value().data.data(),
+                                             out.data(), out.size());
     }
+    ++decoded_;
     return frame;
   }
 
+  int64_t FramesDecodedInternally() const override { return decoded_; }
+
+ private:
   const EncodedVideo video_;
   const int layers_;
   int64_t decoded_ = 0;
@@ -321,39 +268,10 @@ Result<EncodedVideo> ScalableCodec::Encode(
 
   const int64_t n = value.FrameCount();
   out.frames.reserve(static_cast<size_t>(n));
-  if (params.concurrency <= 1) {
-    for (int64_t i = 0; i < n; ++i) {
-      auto frame = value.Frame(i);
-      if (!frame.ok()) return frame.status();
-      out.frames.push_back(
-          EncodeScalableFrame(frame.value(), params, /*plane_concurrency=*/1));
-    }
-    return out;
-  }
-  // Every frame is intra-coded, so frames fan out across the pool; raw
-  // frames are fetched serially in bounded batches first (VideoValue::Frame
-  // is not required to be thread-safe). Ordered join keeps the output
-  // byte-identical to the serial loop.
-  const int64_t batch =
-      std::max<int64_t>(static_cast<int64_t>(params.concurrency) * 4, 16);
-  for (int64_t start = 0; start < n; start += batch) {
-    const int64_t count = std::min(batch, n - start);
-    std::vector<VideoFrame> raw;
-    raw.reserve(static_cast<size_t>(count));
-    for (int64_t i = 0; i < count; ++i) {
-      auto frame = value.Frame(start + i);
-      if (!frame.ok()) return frame.status();
-      raw.push_back(std::move(frame).value());
-    }
-    std::vector<EncodedFrame> encoded =
-        WorkPool::Shared().ParallelMap<EncodedFrame>(
-            params.concurrency, count, [&](int64_t i) {
-              return EncodeScalableFrame(raw[static_cast<size_t>(i)], params,
-                                         /*plane_concurrency=*/1);
-            });
-    for (EncodedFrame& ef : encoded) {
-      out.frames.push_back(std::move(ef));
-    }
+  for (int64_t i = 0; i < n; ++i) {
+    auto frame = value.Frame(i);
+    if (!frame.ok()) return frame.status();
+    out.frames.push_back(EncodeScalableFrame(frame.value(), params));
   }
   return out;
 }
@@ -419,17 +337,6 @@ Result<VideoFrame> ScalableVideoView::Frame(int64_t index) const {
     session_ = std::move(session).value();
   }
   return session_->DecodeFrame(index);
-}
-
-Result<std::vector<VideoFrame>> ScalableVideoView::Frames(
-    int64_t first, int64_t count) const {
-  if (session_ == nullptr) {
-    ScalableCodec codec;
-    auto session = codec.NewDecoderWithLayers(video_, layers_);
-    if (!session.ok()) return session.status();
-    session_ = std::move(session).value();
-  }
-  return session_->DecodeRange(first, count);
 }
 
 int64_t ScalableVideoView::StoredBytes() const {

@@ -62,10 +62,6 @@ class ScalableVideoView final : public VideoValue {
     return static_cast<int64_t>(video_.frames.size());
   }
   Result<VideoFrame> Frame(int64_t index) const override;
-  /// Bulk decode via the restricted session's DecodeRange (parallel when
-  /// the stream's params.concurrency > 1).
-  Result<std::vector<VideoFrame>> Frames(int64_t first,
-                                         int64_t count) const override;
   int64_t StoredBytes() const override;
   int64_t StoredFrameBytes(int64_t index) const override;
 

@@ -2,21 +2,6 @@
 
 namespace avdb {
 
-Result<std::vector<VideoFrame>> VideoDecoderSession::DecodeRange(
-    int64_t first, int64_t count) {
-  if (first < 0 || count < 0) {
-    return Status::InvalidArgument("bad decode range");
-  }
-  std::vector<VideoFrame> out;
-  out.reserve(static_cast<size_t>(count));
-  for (int64_t i = 0; i < count; ++i) {
-    auto frame = DecodeFrame(first + i);
-    if (!frame.ok()) return frame.status();
-    out.push_back(std::move(frame).value());
-  }
-  return out;
-}
-
 int64_t EncodedFrame::SizeBytes() const {
   int64_t total = static_cast<int64_t>(data.size());
   for (const auto& l : layers) total += static_cast<int64_t>(l.size());

@@ -25,14 +25,6 @@ struct VideoCodecParams {
   int search_range = 8;
   /// Resolution/detail layers for the scalable codec (1..3).
   int layer_count = 3;
-  /// Codec execution width: how many work-pool lanes encode/decode may use
-  /// (1 = fully serial, the default — virtual-time activity semantics are
-  /// untouched unless a caller opts in). This is an *execution policy*,
-  /// not part of the stream format: it is never serialized, and parallel
-  /// output is guaranteed byte-identical to serial output (frames, GOPs
-  /// and planes are independent coding units). See DESIGN.md,
-  /// "Concurrency model".
-  int concurrency = 1;
 };
 
 /// One encoded frame. `is_intra` marks random-access points (the decoder
@@ -78,13 +70,6 @@ class VideoDecoderSession {
   /// Decodes frame `index`. Sequential calls are cheap; backward or far
   /// forward jumps pay GOP re-entry.
   virtual Result<VideoFrame> DecodeFrame(int64_t index) = 0;
-
-  /// Bulk decode of frames [first, first+count), returned in order. The
-  /// base implementation is a serial DecodeFrame loop; sessions over
-  /// independently coded frames (intra, scalable) override it with
-  /// work-pool parallel decode when the stream's params.concurrency > 1.
-  virtual Result<std::vector<VideoFrame>> DecodeRange(int64_t first,
-                                                      int64_t count);
 
   /// Frames decoded internally since construction (measures seek overhead).
   virtual int64_t FramesDecodedInternally() const = 0;

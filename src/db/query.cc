@@ -301,11 +301,23 @@ class Parser {
   // fail with a Status, not overflow the stack.
   static constexpr int kMaxNesting = 256;
 
+  // Joins one more `and`/`or` term onto the tree. Flat chains are parsed
+  // by a loop, not recursion, but they still build one tree level per
+  // term, so the total is capped as well.
+  Status CountTerm() {
+    if (++connectives_ >= kMaxPredicateTerms) {
+      return Error("more than " + std::to_string(kMaxPredicateTerms) +
+                   " and/or terms");
+    }
+    return Status::OK();
+  }
+
   Result<PredicatePtr> ParseOr(int depth) {
     auto lhs = ParseAnd(depth);
     if (!lhs.ok()) return lhs;
     PredicatePtr node = lhs.value();
     while (PeekKeyword("or")) {
+      AVDB_RETURN_IF_ERROR(CountTerm());
       Advance();
       auto rhs = ParseAnd(depth);
       if (!rhs.ok()) return rhs;
@@ -319,6 +331,7 @@ class Parser {
     if (!lhs.ok()) return lhs;
     PredicatePtr node = lhs.value();
     while (PeekKeyword("and")) {
+      AVDB_RETURN_IF_ERROR(CountTerm());
       Advance();
       auto rhs = ParseUnary(depth);
       if (!rhs.ok()) return rhs;
@@ -397,6 +410,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int connectives_ = 0;
 };
 
 }  // namespace

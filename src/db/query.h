@@ -48,8 +48,14 @@ class Predicate {
 
 using PredicatePtr = std::shared_ptr<const Predicate>;
 
+/// Most terms one predicate may join with `and`/`or`, counted over the
+/// whole text. Each connective adds a level to the predicate tree, and
+/// evaluating or destroying the tree recurses once per level.
+inline constexpr int kMaxPredicateTerms = 4096;
+
 /// Parses a predicate. Returns InvalidArgument with a position-annotated
-/// message on syntax errors.
+/// message on syntax errors, on too-deep `not`/`(` nesting and on more
+/// than kMaxPredicateTerms `and`/`or` terms.
 Result<PredicatePtr> ParsePredicate(const std::string& text);
 
 /// Always-true predicate (an empty `where` clause).

@@ -33,17 +33,10 @@ Status CheckSameAudioFormat(const AudioValue& a, const AudioValue& b) {
 
 Status AppendRange(const VideoValue& source, int64_t first, int64_t count,
                    RawVideoValue* out) {
-  // Bulk-fetch in bounded batches so encoded sources can decode a range in
-  // one pass (in parallel when their params ask for it) without holding
-  // the whole segment in raw form twice.
-  constexpr int64_t kBatch = 64;
-  for (int64_t start = 0; start < count; start += kBatch) {
-    const int64_t take = std::min(kBatch, count - start);
-    auto frames = source.Frames(first + start, take);
-    if (!frames.ok()) return frames.status();
-    for (VideoFrame& frame : frames.value()) {
-      AVDB_RETURN_IF_ERROR(out->AppendFrame(std::move(frame)));
-    }
+  for (int64_t i = 0; i < count; ++i) {
+    auto frame = source.Frame(first + i);
+    if (!frame.ok()) return frame.status();
+    AVDB_RETURN_IF_ERROR(out->AppendFrame(std::move(frame).value()));
   }
   return Status::OK();
 }

@@ -2,20 +2,6 @@
 
 namespace avdb {
 
-Result<std::vector<VideoFrame>> VideoValue::Frames(int64_t first,
-                                                   int64_t count) const {
-  if (first < 0 || count < 0 || first + count > FrameCount()) {
-    return Status::InvalidArgument("frame range out of bounds");
-  }
-  std::vector<VideoFrame> out;
-  out.reserve(static_cast<size_t>(count));
-  for (int64_t i = 0; i < count; ++i) {
-    AVDB_ASSIGN_OR_RETURN(VideoFrame frame, Frame(first + i));
-    out.push_back(std::move(frame));
-  }
-  return out;
-}
-
 Result<VideoFrame> VideoValue::FrameAt(WorldTime t) const {
   auto o = WorldToObject(t);
   if (!o.ok()) return o.status();

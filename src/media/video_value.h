@@ -27,14 +27,6 @@ class VideoValue : public MediaValue {
   /// range; DataLoss when a stored representation fails to decode.
   virtual Result<VideoFrame> Frame(int64_t index) const = 0;
 
-  /// Bulk fetch of frames [first, first+count) in order. The default
-  /// simply loops Frame(); representations with an internal decoder
-  /// (EncodedVideoValue) override to decode the range in one pass, in
-  /// parallel when the stream's codec params ask for concurrency > 1.
-  /// Results are identical to the serial loop either way.
-  virtual Result<std::vector<VideoFrame>> Frames(int64_t first,
-                                                 int64_t count) const;
-
   /// Frame presented at world instant `t` (through the temporal transform).
   Result<VideoFrame> FrameAt(WorldTime t) const;
 

@@ -54,9 +54,9 @@ class CellSet {
 };
 
 /// Monotone event count: pushed increments plus every attached cell (see
-/// Attachment). Increments are relaxed atomics: instruments are shared
-/// across the real-time bridge threads (work pool) and the single-threaded
-/// event engine, and a counter needs no ordering beyond its own total.
+/// Attachment). Increments are relaxed atomics: a registry may be shared
+/// by several threads, each driving its own engine, and a counter needs no
+/// ordering beyond its own total.
 class Counter {
  public:
   Counter(std::string name, std::string help)

@@ -939,6 +939,7 @@ Result<MediaStore::ScrubReport> MediaStore::Scrub() {
 
 void MediaStore::BindObservability(obs::MetricsRegistry* registry,
                                    obs::Tracer* tracer) {
+  registry_ = registry;
   tracer_ = tracer;
   metrics_.Attach(
       registry,

@@ -208,6 +208,8 @@ class MediaStore {
   /// retry-exhausted milestones as trace events (actor = device name).
   /// nullptr detaches.
   void BindObservability(obs::MetricsRegistry* registry, obs::Tracer* tracer);
+  obs::MetricsRegistry* metrics_registry() const { return registry_; }
+  obs::Tracer* tracer() const { return tracer_; }
 
  private:
   /// ReadRange body shared by both public overloads; `budget` may be
@@ -272,6 +274,7 @@ class MediaStore {
   RetryPolicy retry_policy_;
   Stats stats_;
   obs::Attachment metrics_;  // reads stats_; declared after it
+  obs::MetricsRegistry* registry_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
 
   bool mounted_ = false;

@@ -1,7 +1,5 @@
 #include "storage/value_serializer.h"
 
-#include <algorithm>
-
 #include "codec/encoded_value.h"
 #include "codec/registry.h"
 
@@ -27,15 +25,9 @@ Buffer SerializeRawVideo(const VideoValue& video) {
   out.AppendI64(video.frame_rate().num());
   out.AppendI64(video.frame_rate().den());
   out.AppendI64(video.FrameCount());
-  // Batched bulk fetch: encoded sources decode each range in one pass
-  // (parallel when their params ask for it) instead of frame-at-a-time.
-  constexpr int64_t kBatch = 64;
-  for (int64_t start = 0; start < video.FrameCount(); start += kBatch) {
-    const int64_t take = std::min(kBatch, video.FrameCount() - start);
-    std::vector<VideoFrame> frames = video.Frames(start, take).value();
-    for (const VideoFrame& frame : frames) {
-      out.AppendBytes(frame.data().data(), frame.data().size());
-    }
+  for (int64_t i = 0; i < video.FrameCount(); ++i) {
+    const VideoFrame frame = video.Frame(i).value();
+    out.AppendBytes(frame.data().data(), frame.data().size());
   }
   return out;
 }
@@ -199,10 +191,6 @@ Result<MediaValuePtr> Deserialize(const Buffer& blob) {
       AVDB_RETURN_IF_ERROR(r.ReadBytes(rest.data(), rest.size()));
       auto encoded = EncodedVideo::Deserialize(rest);
       if (!encoded.ok()) return encoded.status();
-      // Concurrency is an execution policy, not part of the stored stream;
-      // rebuilt values pick up the process-wide default so bulk decodes
-      // through this value can use the work pool.
-      encoded.value().params.concurrency = CodecRegistry::default_concurrency();
       auto codec =
           CodecRegistry::Default().VideoCodecFor(encoded.value().family);
       if (!codec.ok()) return codec.status();

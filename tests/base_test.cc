@@ -1,9 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <set>
-#include <stdexcept>
 
 #include "base/buffer.h"
 #include "base/buffer_pool.h"
@@ -12,9 +10,6 @@
 #include "base/rng.h"
 #include "base/status.h"
 #include "base/strings.h"
-#include "base/work_pool.h"
-#include "codec/intra_codec.h"
-#include "media/synthetic.h"
 
 namespace avdb {
 namespace {
@@ -358,87 +353,6 @@ TEST(StringsTest, JoinAndLower) {
   EXPECT_EQ(AsciiToLower("CD-Quality"), "cd-quality");
 }
 
-// -------------------------------------------------------------- WorkPool --
-
-TEST(WorkPoolTest, SubmitRunsTaskAndFutureResolves) {
-  WorkPool pool(2);
-  std::atomic<int> ran{0};
-  auto f = pool.Submit([&] { ran.fetch_add(1); });
-  f.get();
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(WorkPoolTest, SubmitPropagatesExceptionThroughFuture) {
-  WorkPool pool(1);
-  auto f = pool.Submit([] { throw std::runtime_error("task boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(WorkPoolTest, ParallelMapPreservesIndexOrder) {
-  WorkPool pool(4);
-  const int64_t n = 200;
-  std::vector<int64_t> out =
-      pool.ParallelMap<int64_t>(4, n, [](int64_t i) { return i * i; });
-  ASSERT_EQ(out.size(), static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    EXPECT_EQ(out[static_cast<size_t>(i)], i * i);
-  }
-}
-
-TEST(WorkPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  WorkPool pool(4);
-  const int64_t n = 500;
-  std::vector<std::atomic<int>> hits(n);
-  pool.ParallelFor(8, n, [&](int64_t i) {
-    hits[static_cast<size_t>(i)].fetch_add(1);
-  });
-  for (int64_t i = 0; i < n; ++i) {
-    EXPECT_EQ(hits[static_cast<size_t>(i)], 1);
-  }
-}
-
-TEST(WorkPoolTest, ParallelForRethrowsFirstException) {
-  WorkPool pool(2);
-  EXPECT_THROW(pool.ParallelFor(4, 100,
-                                [](int64_t i) {
-                                  if (i == 37) {
-                                    throw std::runtime_error("lane boom");
-                                  }
-                                }),
-               std::runtime_error);
-}
-
-TEST(WorkPoolTest, ParallelMapCarriesStatusResults) {
-  WorkPool pool(2);
-  std::vector<Status> statuses =
-      pool.ParallelMap<Status>(4, 10, [](int64_t i) {
-        if (i == 3) return Status::DataLoss("plane 3");
-        return Status::OK();
-      });
-  for (int64_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(statuses[static_cast<size_t>(i)].ok(), i != 3);
-  }
-}
-
-TEST(WorkPoolTest, NestedParallelForDoesNotDeadlock) {
-  // Outer width deliberately exceeds the worker count so completion must
-  // come from caller participation, not from free workers.
-  WorkPool pool(2);
-  std::atomic<int64_t> total{0};
-  pool.ParallelFor(8, 8, [&](int64_t) {
-    pool.ParallelFor(4, 16, [&](int64_t) { total.fetch_add(1); });
-  });
-  EXPECT_EQ(total.load(), 8 * 16);
-}
-
-TEST(WorkPoolTest, ZeroWorkersRunsInline) {
-  WorkPool pool(0);
-  EXPECT_EQ(pool.worker_count(), 0);
-  std::vector<int64_t> out =
-      pool.ParallelMap<int64_t>(4, 5, [](int64_t i) { return i + 1; });
-  EXPECT_EQ(out, (std::vector<int64_t>{1, 2, 3, 4, 5}));
-}
-
 // ------------------------------------------------------------ BufferPool --
 
 TEST(BufferPoolTest, ReusesReleasedBlocks) {
@@ -480,60 +394,6 @@ TEST(BufferPoolTest, DropsBeyondMaxFreeAndTrims) {
   pool.Trim();
   std::vector<uint8_t> block = pool.AcquireBytes(64);
   EXPECT_EQ(pool.stats().reuses, 0);  // trimmed, so this was a fresh alloc
-}
-
-// -------------------------------------------- Parallel codec determinism --
-
-TEST(ParallelCodecTest, IntraEncodeIsByteIdenticalAcrossConcurrency) {
-  auto value = synthetic::GenerateVideo(
-                   MediaDataType::RawVideo(48, 32, 24, Rational(10)), 9,
-                   synthetic::VideoPattern::kMovingGradient)
-                   .value();
-  IntraCodec codec;
-  VideoCodecParams params;
-  params.quality = 60;
-  params.concurrency = 1;
-  auto serial = codec.Encode(*value, params);
-  ASSERT_TRUE(serial.ok());
-  for (int concurrency : {2, 8}) {
-    params.concurrency = concurrency;
-    auto parallel = codec.Encode(*value, params);
-    ASSERT_TRUE(parallel.ok());
-    ASSERT_EQ(parallel.value().frames.size(), serial.value().frames.size());
-    for (size_t i = 0; i < serial.value().frames.size(); ++i) {
-      EXPECT_EQ(parallel.value().frames[i].data, serial.value().frames[i].data)
-          << "frame " << i << " differs at concurrency " << concurrency;
-    }
-  }
-}
-
-TEST(ParallelCodecTest, ParallelDecodeRangeMatchesSerialFrames) {
-  auto value = synthetic::GenerateVideo(
-                   MediaDataType::RawVideo(48, 32, 24, Rational(10)), 8,
-                   synthetic::VideoPattern::kCheckerboard)
-                   .value();
-  IntraCodec codec;
-  VideoCodecParams params;
-  params.quality = 60;
-  params.concurrency = 4;
-  auto encoded = codec.Encode(*value, params);
-  ASSERT_TRUE(encoded.ok());
-
-  auto parallel_session = codec.NewDecoder(encoded.value());
-  ASSERT_TRUE(parallel_session.ok());
-  auto range = parallel_session.value()->DecodeRange(0, 8);
-  ASSERT_TRUE(range.ok());
-
-  EncodedVideo serial_video = encoded.value();
-  serial_video.params.concurrency = 1;
-  auto serial_session = codec.NewDecoder(serial_video);
-  ASSERT_TRUE(serial_session.ok());
-  for (int64_t i = 0; i < 8; ++i) {
-    auto frame = serial_session.value()->DecodeFrame(i);
-    ASSERT_TRUE(frame.ok());
-    EXPECT_TRUE(range.value()[static_cast<size_t>(i)] == frame.value())
-        << "decoded frame " << i << " differs";
-  }
 }
 
 }  // namespace

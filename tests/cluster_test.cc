@@ -185,6 +185,36 @@ TEST(ServerNodeTest, ReviveRestoresService) {
   EXPECT_GT(latency, 0);
 }
 
+TEST(ServerNodeTest, ReviveKeepsTheStoresRegistryBinding) {
+  // A crash-restart rebuilds a mounted replica's store; the fresh store
+  // must keep counting into the registry the old one was bound to.
+  obs::MetricsRegistry registry;
+  obs::Tracer tracer(64);
+  auto dev = std::make_shared<BlockDevice>("n.dev",
+                                           DeviceProfile::MagneticDisk());
+  auto store = std::make_shared<MediaStore>(dev, nullptr);
+  ASSERT_TRUE(store->Mount().ok());
+  ASSERT_TRUE(store->Put("clip", MakeBlob(kBlobBytes)).ok());
+  store->BindObservability(&registry, &tracer);
+  auto node = std::make_shared<ServerNode>("n", store);
+  FaultInjector injector(FaultSpec::NodeCrash(1), 3);
+  node->set_fault_injector(&injector);
+  DeadlineBudget budget;
+  int64_t latency = 0;
+  ASSERT_FALSE(node->ServeRead("clip", 0, 1000, 0, &budget, &latency).ok());
+  ASSERT_TRUE(node->down());
+
+  obs::Counter* reads = registry.GetCounter("avdb_storage_reads_total", "");
+  const int64_t reads_before = reads->Value();
+  ASSERT_TRUE(node->Revive().ok());
+  ASSERT_NE(&node->store(), store.get());
+  EXPECT_EQ(node->store().metrics_registry(), &registry);
+  EXPECT_EQ(node->store().tracer(), &tracer);
+  ASSERT_TRUE(node->ServeRead("clip", 0, 1000, 0, &budget, &latency).ok());
+  ASSERT_GE(node->store().stats().reads, 1);
+  EXPECT_EQ(reads->Value(), reads_before + node->store().stats().reads);
+}
+
 // ------------------------------------------------------------ StreamRouter --
 
 RouterPolicy TestPolicy() {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <iterator>
 
+#include "base/buffer.h"
 #include "base/rng.h"
 #include "codec/audio_codec.h"
 #include "codec/bitio.h"
@@ -550,6 +553,77 @@ TEST(CodecComparisonTest, AllVideoCodecsBeatRawStorage) {
     ASSERT_TRUE(encoded.ok()) << codec->name();
     EXPECT_LT(encoded.value().TotalBytes(), raw_bytes) << codec->name();
   }
+}
+
+// ------------------------------------------------------------ Wire format --
+
+// FastHash64 over every frame's intra flag and the hashes of its `data`
+// and `layers`: one digest per stream that changes if any stored byte does.
+uint64_t StreamDigest(const EncodedVideo& video) {
+  Buffer digests;
+  for (const EncodedFrame& f : video.frames) {
+    digests.AppendU8(f.is_intra ? 1 : 0);
+    digests.AppendU64(FastHash64(f.data.data(), f.data.size()));
+    digests.AppendU8(static_cast<uint8_t>(f.layers.size()));
+    for (const Buffer& l : f.layers) {
+      digests.AppendU64(FastHash64(l.data(), l.size()));
+    }
+  }
+  return FastHash64(digests.data(), digests.size());
+}
+
+// Pins the stored bytes of the intra, inter and scalable codecs on a fixed
+// clip. The constants were captured before the codecs lost their parallel
+// paths, so this shows the per-plane u32 framing survived unchanged.
+TEST(WireFormatTest, EncodedBytesArePinned) {
+  const auto type = MediaDataType::RawVideo(48, 32, 24, Rational(10));
+  auto video = GenerateVideo(type, 9, VideoPattern::kMovingBox, 7).value();
+
+  VideoCodecParams params;
+  params.quality = 80;
+  params.gop_size = 4;
+  params.layer_count = 3;
+  const uint64_t intra =
+      StreamDigest(IntraCodec().Encode(*video, params).value());
+  const uint64_t inter =
+      StreamDigest(InterCodec().Encode(*video, params).value());
+  const uint64_t scalable =
+      StreamDigest(ScalableCodec().Encode(*video, params).value());
+  EXPECT_EQ(intra, 0x3d46b28421eefbc0ull) << std::hex << intra;
+  EXPECT_EQ(inter, 0xa5aeb29bc0456c34ull) << std::hex << inter;
+  EXPECT_EQ(scalable, 0xb14ff9c2534ccb87ull) << std::hex << scalable;
+}
+
+// ------------------------------------------------------------ Threading --
+
+// Codec work runs on its caller's thread: encoding and decoding a clip with
+// every video family must not start a single thread in this process.
+TEST(CodecThreadingTest, CodecWorkNeverStartsAThread) {
+  const std::filesystem::path tasks("/proc/self/task");
+  std::error_code ec;
+  if (!std::filesystem::is_directory(tasks, ec)) {
+    GTEST_SKIP() << "/proc/self/task is not available";
+  }
+  auto thread_count = [&] {
+    return std::distance(std::filesystem::directory_iterator(tasks),
+                         std::filesystem::directory_iterator());
+  };
+  const auto type = MediaDataType::RawVideo(48, 32, 24, Rational(10));
+  auto video = GenerateVideo(type, 6, VideoPattern::kMovingBox).value();
+
+  const auto before = thread_count();
+  for (const auto& codec : CodecRegistry::Default().video_codecs()) {
+    VideoCodecParams params;
+    params.gop_size = 3;
+    auto encoded = codec->Encode(*video, params);
+    ASSERT_TRUE(encoded.ok()) << codec->name();
+    auto session = codec->NewDecoder(encoded.value());
+    ASSERT_TRUE(session.ok()) << codec->name();
+    for (int64_t i = 0; i < 6; ++i) {
+      ASSERT_TRUE(session.value()->DecodeFrame(i).ok()) << codec->name();
+    }
+  }
+  EXPECT_EQ(thread_count(), before);
 }
 
 }  // namespace

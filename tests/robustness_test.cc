@@ -177,6 +177,41 @@ TEST(PredicateParserTest, DeepNestingFailsWithStatusNotStackOverflow) {
   EXPECT_TRUE(ParsePredicate(shallow).ok());
 }
 
+TEST(PredicateParserTest, FlatChainPastTermCapFailsWithStatus) {
+  // A flat chain of 10^6 `and` terms once built a left-deep tree whose
+  // recursive Matches and destruction overflowed the stack.
+  std::string huge = "x = 1";
+  huge.reserve(10 * 1000000);
+  for (int i = 1; i < 1000000; ++i) huge += " and x = 1";
+  auto chain = ParsePredicate(huge);
+  ASSERT_FALSE(chain.ok());
+  EXPECT_EQ(chain.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(chain.status().message().find("terms"), std::string::npos);
+
+  // The cap counts `and` and `or` alike, across nesting levels.
+  std::string mixed = "(x = 1";
+  for (int i = 0; i < kMaxPredicateTerms; ++i) {
+    mixed += i % 2 == 0 ? ") or (x = 1" : " and x = 1";
+  }
+  mixed += ")";
+  EXPECT_EQ(ParsePredicate(mixed).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // A chain of exactly kMaxPredicateTerms terms still parses and
+  // evaluates; one more term is refused.
+  DbObject object(Oid(1), "C");
+  ASSERT_TRUE(object.SetScalar("x", int64_t{1}).ok());
+  std::string prefix = "x = 1";
+  for (int i = 2; i < kMaxPredicateTerms; ++i) prefix += " and x = 1";
+  auto at_cap = ParsePredicate(prefix + " and x = 1");
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_TRUE(at_cap.value()->Matches(object));
+  auto last_fails = ParsePredicate(prefix + " and x = 2");
+  ASSERT_TRUE(last_fails.ok());
+  EXPECT_FALSE(last_fails.value()->Matches(object));
+  EXPECT_FALSE(ParsePredicate(prefix + " and x = 1 and x = 1").ok());
+}
+
 // ----------------------------------------------------- cross-module invariants --
 
 TEST(InvariantTest, AdmissionLedgerBalancesUnderRandomOps) {
