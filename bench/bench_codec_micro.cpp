@@ -16,6 +16,10 @@
 //   4. Steady-state allocations/frame: after one warm-up cycle, a full
 //      inter encode+decode cycle must be served entirely from the shared
 //      BufferPool — zero pool misses (exit 1 otherwise).
+//   5. Inter decode µs/frame: a stored 176×144 GOP-12 stream (the shape
+//      avbench's playback sessions decode), decoded front to back at the
+//      dispatched level; every level must decode it to the scalar
+//      reference's frames (exit 1 on any diff).
 //
 // Output: BENCH_codec_micro.json.
 
@@ -399,6 +403,63 @@ SteadyStatePoint MeasureSteadyState() {
   return point;
 }
 
+struct InterDecodePoint {
+  int frames = 0;
+  double us_per_frame = 0;
+  std::vector<std::string> levels;
+  bool identical = true;
+};
+
+std::vector<VideoFrame> DecodeAll(const EncodedVideo& stream) {
+  std::vector<VideoFrame> frames;
+  auto session = InterCodec().NewDecoder(stream).value();
+  for (int64_t i = 0; i < static_cast<int64_t>(stream.frames.size()); ++i) {
+    frames.push_back(session->DecodeFrame(i).value());
+  }
+  return frames;
+}
+
+// Two GOPs of a drifting gradient, encoded once at the scalar level and
+// decoded in sequence by a fresh session per pass.
+InterDecodePoint MeasureInterDecode() {
+  InterDecodePoint point;
+  point.frames = 24;
+  const auto type = MediaDataType::RawVideo(kWidth, kHeight, 8, Rational(30));
+  auto video = synthetic::GenerateVideo(
+                   type, point.frames,
+                   synthetic::VideoPattern::kMovingGradient)
+                   .value();
+  VideoCodecParams params;
+  params.gop_size = 12;
+  if (!simd::ForceKernelsForTest(simd::KernelLevel::kScalar)) {
+    std::printf("BYTE IDENTITY: cannot force scalar kernels\n");
+    point.identical = false;
+    return point;
+  }
+  const EncodedVideo stream = InterCodec().Encode(*video, params).value();
+  const std::vector<VideoFrame> ref = DecodeAll(stream);
+  for (simd::KernelLevel level : simd::AvailableKernelLevels()) {
+    if (level == simd::KernelLevel::kScalar) continue;
+    if (!simd::ForceKernelsForTest(level)) continue;
+    point.levels.push_back(simd::KernelLevelName(level));
+    const std::vector<VideoFrame> frames = DecodeAll(stream);
+    for (size_t i = 0; i < ref.size(); ++i) {
+      if (frames[i].data() != ref[i].data()) {
+        std::printf("BYTE IDENTITY: decoded inter frame %zu differs under "
+                    "%s\n",
+                    i, simd::KernelLevelName(level));
+        point.identical = false;
+      }
+    }
+  }
+  simd::ResetKernelsForTest();
+  const double ns = MeasureNs(5, 5, [&] {
+    Sink(DecodeAll(stream).back().At(0, 0));
+  });
+  point.us_per_frame = ns / 1000.0 / point.frames;
+  return point;
+}
+
 }  // namespace
 
 int main() {
@@ -438,6 +499,13 @@ int main() {
               static_cast<long long>(steady.allocations),
               steady.allocations_per_frame);
 
+  std::printf("\n== inter decode, %dx%d GOP-12 stream ==\n", kWidth, kHeight);
+  const InterDecodePoint inter = MeasureInterDecode();
+  std::printf("%.1f us/frame over %d frames; levels checked beyond scalar: "
+              "%zu -> %s\n",
+              inter.us_per_frame, inter.frames, inter.levels.size(),
+              inter.identical ? "identical" : "DIFFER");
+
   FILE* out = std::fopen("BENCH_codec_micro.json", "w");
   if (out != nullptr) {
     std::fprintf(out, "{\n  \"dispatched_level\": \"%s\",\n",
@@ -469,11 +537,17 @@ int main() {
     std::fprintf(out,
                  "  \"steady_state\": {\"frames\": %d, \"acquires\": %lld, "
                  "\"reuses\": %lld, \"allocations\": %lld, "
-                 "\"allocations_per_frame\": %.2f}\n",
+                 "\"allocations_per_frame\": %.2f},\n",
                  steady.frames, static_cast<long long>(steady.acquires),
                  static_cast<long long>(steady.reuses),
                  static_cast<long long>(steady.allocations),
                  steady.allocations_per_frame);
+    std::fprintf(out,
+                 "  \"inter_decode\": {\"width\": %d, \"height\": %d, "
+                 "\"gop_size\": 12, \"frames\": %d, \"us_per_frame\": "
+                 "%.1f, \"identical\": %s}\n",
+                 kWidth, kHeight, inter.frames, inter.us_per_frame,
+                 inter.identical ? "true" : "false");
     std::fprintf(out, "}\n");
     std::fclose(out);
     std::printf("\nwrote BENCH_codec_micro.json\n");
@@ -494,6 +568,10 @@ int main() {
   }
   if (!identity.pass) {
     std::printf("GATE FAILED: kernel levels are not byte-identical\n");
+    ok = false;
+  }
+  if (!inter.identical) {
+    std::printf("GATE FAILED: decoded inter frames differ across levels\n");
     ok = false;
   }
   if (steady.allocations != 0) {

@@ -55,6 +55,8 @@ Status VideoSource::DoBind(MediaValuePtr value, const std::string& port_name) {
   }
   value_ = video;
   layout_value_ = video;
+  offset_cursor_index_ = 0;
+  offset_cursor_bytes_ = 0;
   encoded_ = std::dynamic_pointer_cast<EncodedVideoValue>(video);
   if (emit_encoded_ && encoded_ == nullptr) {
     return Status::InvalidArgument(
@@ -120,12 +122,20 @@ int64_t VideoSource::FrameBytes(int64_t i) const {
   return value_->StoredFrameBytes(i);
 }
 
-int64_t VideoSource::FrameOffset(int64_t i) const {
+int64_t VideoSource::FrameOffset(int64_t i) {
   // Offsets come from the *bound* value's layout: a degraded view reads a
-  // prefix of each stored frame, it does not repack the blob.
-  int64_t offset = 0;
-  for (int64_t f = 0; f < i; ++f) offset += layout_value_->StoredFrameBytes(f);
-  return offset;
+  // prefix of each stored frame, it does not repack the blob. Playback
+  // asks in rising order, so the cursor walks forward from its last answer
+  // and restarts from frame 0 only on a backward seek.
+  if (i < offset_cursor_index_) {
+    offset_cursor_index_ = 0;
+    offset_cursor_bytes_ = 0;
+  }
+  for (; offset_cursor_index_ < i; ++offset_cursor_index_) {
+    offset_cursor_bytes_ +=
+        layout_value_->StoredFrameBytes(offset_cursor_index_);
+  }
+  return offset_cursor_bytes_;
 }
 
 bool VideoSource::ApplyQualityStep(int delta) {

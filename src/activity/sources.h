@@ -135,7 +135,7 @@ class VideoSource : public MediaActivity {
   /// Byte offset of frame `i` within the stored blob (approximate layout:
   /// frames in sequence, at the *bound* value's full frame sizes — quality
   /// steps change how many bytes are read, never where frames live).
-  int64_t FrameOffset(int64_t i) const;
+  int64_t FrameOffset(int64_t i);
   /// Steps the active scalable view by `delta` layers (-1 lower, +1 raise).
   /// Returns false when the value is not scalable or already at the bound.
   [[nodiscard]] bool ApplyQualityStep(int delta);
@@ -158,6 +158,10 @@ class VideoSource : public MediaActivity {
   int active_layers_ = 0;
   ServiceQueue decode_unit_;
   int64_t next_index_ = 0;
+  /// FrameOffset's cursor: frame `offset_cursor_index_` of the layout
+  /// value starts at byte `offset_cursor_bytes_`.
+  int64_t offset_cursor_index_ = 0;
+  int64_t offset_cursor_bytes_ = 0;
 };
 
 /// Audio counterpart of VideoSource: produces PCM blocks of

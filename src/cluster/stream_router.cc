@@ -1,6 +1,7 @@
 #include "cluster/stream_router.h"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "base/logging.h"
@@ -41,15 +42,17 @@ void StreamRouter::ObserveAttemptLatency(int64_t latency_ns) {
 }
 
 int64_t StreamRouter::HedgeDelayNs() const {
-  if (!policy_.enable_hedging ||
+  if (!policy_.enable_hedging || latency_window_.empty() ||
       latency_window_.size() < static_cast<size_t>(policy_.min_hedge_samples)) {
     return 0;
   }
-  std::vector<int64_t> sorted = latency_window_;
-  std::sort(sorted.begin(), sorted.end());
-  const size_t idx = (sorted.size() * 95) / 100;
-  const int64_t p95 = sorted[std::min(idx, sorted.size() - 1)];
-  return std::max(p95, policy_.hedge_floor_ns);
+  // Only the p95 rank is needed, so select it in a stack copy of the window.
+  std::array<int64_t, kLatencyWindow> window;
+  const size_t n = latency_window_.size();
+  std::copy(latency_window_.begin(), latency_window_.end(), window.begin());
+  const size_t idx = std::min((n * 95) / 100, n - 1);
+  std::nth_element(window.begin(), window.begin() + idx, window.begin() + n);
+  return std::max(window[idx], policy_.hedge_floor_ns);
 }
 
 void StreamRouter::NoteBreakerOpen(int64_t idx, int64_t now_ns) {

@@ -62,7 +62,7 @@ Result<uint64_t> BitReader::ReadBits(int count) {
   return v;
 }
 
-Result<uint64_t> BitReader::ReadVarint() {
+Result<uint64_t> BitReader::ReadVarintBits() {
   uint64_t v = 0;
   int shift = 0;
   for (int i = 0; i < 10; ++i) {
@@ -73,13 +73,6 @@ Result<uint64_t> BitReader::ReadVarint() {
     shift += 7;
   }
   return Status::DataLoss("varint too long");
-}
-
-Result<int64_t> BitReader::ReadSignedVarint() {
-  auto zz = ReadVarint();
-  if (!zz.ok()) return zz.status();
-  const uint64_t v = zz.value();
-  return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
 }
 
 }  // namespace avdb

@@ -56,12 +56,39 @@ class BitReader {
   /// Reads `count` bits (MSB first). count in [0, 57].
   Result<uint64_t> ReadBits(int count);
 
-  Result<uint64_t> ReadVarint();
-  Result<int64_t> ReadSignedVarint();
+  /// Unsigned varint. Every symbol the codecs write is a whole 8-bit group,
+  /// so the cursor is normally byte-aligned and the groups are read as
+  /// bytes in place; an unaligned cursor, an underrun or a varint of more
+  /// than 10 groups takes the bit-serial path, which yields DataLoss.
+  Result<uint64_t> ReadVarint() {
+    if ((pos_bits_ & 7) == 0) {
+      const int64_t end = size_bits_ >> 3;
+      int64_t pos = pos_bits_ >> 3;
+      uint64_t v = 0;
+      for (int shift = 0; shift < 70 && pos < end; shift += 7) {
+        const uint8_t byte = data_[pos++];
+        v |= static_cast<uint64_t>(byte & 0x7F) << shift;
+        if ((byte & 0x80) == 0) {
+          pos_bits_ = pos << 3;
+          return v;
+        }
+      }
+    }
+    return ReadVarintBits();
+  }
+
+  Result<int64_t> ReadSignedVarint() {
+    auto zz = ReadVarint();
+    if (!zz.ok()) return zz.status();
+    const uint64_t v = zz.value();
+    return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
+  }
 
   int64_t BitsRemaining() const { return size_bits_ - pos_bits_; }
 
  private:
+  Result<uint64_t> ReadVarintBits();
+
   const uint8_t* data_;
   int64_t size_bits_;
   int64_t pos_bits_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <limits>
 
 #include "base/logging.h"
 #include "codec/simd/kernels.h"
@@ -29,6 +30,11 @@ constexpr int kZigzag[kBlockArea] = {
     12, 19, 26, 33, 40, 48, 41, 34, 27, 20, 13, 6,  7,  14, 21, 28,  //
     35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51,  //
     58, 59, 52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63};
+
+bool FitsInt32(int64_t v) {
+  return v >= std::numeric_limits<int32_t>::min() &&
+         v <= std::numeric_limits<int32_t>::max();
+}
 
 }  // namespace
 
@@ -107,25 +113,38 @@ void EncodeBlock(const CoeffBlock& coeffs, int32_t* dc_predictor,
   out->WriteVarint(0x3F);  // end of block
 }
 
-Result<CoeffBlock> DecodeBlock(int32_t* dc_predictor, BitReader* in) {
-  CoeffBlock coeffs{};
+Status DecodeBlock(int32_t* dc_predictor, BitReader* in, CoeffBlock* coeffs,
+                   bool* nonzero) {
+  coeffs->fill(0);
   auto dc_delta = in->ReadSignedVarint();
   if (!dc_delta.ok()) return dc_delta.status();
-  *dc_predictor += static_cast<int32_t>(dc_delta.value());
-  coeffs[0] = *dc_predictor;
+  if (!FitsInt32(dc_delta.value())) {
+    return Status::DataLoss("DC delta overflow");
+  }
+  const int64_t dc = int64_t{*dc_predictor} + dc_delta.value();
+  if (!FitsInt32(dc)) return Status::DataLoss("DC predictor overflow");
+  *dc_predictor = static_cast<int32_t>(dc);
+  (*coeffs)[0] = *dc_predictor;
+  bool any = dc != 0;
   int zi = 1;
   for (;;) {
     auto run = in->ReadVarint();
     if (!run.ok()) return run.status();
     if (run.value() == 0x3F) break;
+    // 64-bit check: a huge run must not wrap `zi` back into the block.
+    if (run.value() >= static_cast<uint64_t>(kBlockArea - zi)) {
+      return Status::DataLoss("AC run past block end");
+    }
     zi += static_cast<int>(run.value());
-    if (zi >= kBlockArea) return Status::DataLoss("AC run past block end");
     auto level = in->ReadSignedVarint();
     if (!level.ok()) return level.status();
-    coeffs[kZigzag[zi]] = static_cast<int32_t>(level.value());
+    if (!FitsInt32(level.value())) return Status::DataLoss("AC level overflow");
+    (*coeffs)[kZigzag[zi]] = static_cast<int32_t>(level.value());
+    any |= level.value() != 0;
     ++zi;
   }
-  return coeffs;
+  *nonzero = any;
+  return Status::OK();
 }
 
 void EncodePlane(const int16_t* plane, int width, int height, int quality,
@@ -226,12 +245,17 @@ Status DecodePlaneInto(int width, int height, int quality, BitReader* in,
   const simd::QuantTable& qt = QualityQuantTable(quality);
   int32_t dc_predictor = 0;
   Block block;
+  CoeffBlock coeffs;
   for (int by = 0; by < height; by += kBlockSize) {
     for (int bx = 0; bx < width; bx += kBlockSize) {
-      auto coeffs = DecodeBlock(&dc_predictor, in);
-      if (!coeffs.ok()) return coeffs.status();
-      k.dequantize(coeffs.value().data(), qt);
-      k.idct8x8(coeffs.value().data(), block.data());
+      bool nonzero = false;
+      AVDB_RETURN_IF_ERROR(DecodeBlock(&dc_predictor, in, &coeffs, &nonzero));
+      if (nonzero) {
+        k.dequantize(coeffs.data(), qt);
+        k.idct8x8(coeffs.data(), block.data());
+      } else {
+        block.fill(0);
+      }
       if (by + kBlockSize <= height && bx + kBlockSize <= width) {
         for (int y = 0; y < kBlockSize; ++y) {
           std::memcpy(out + static_cast<size_t>(by + y) * width + bx,

@@ -54,8 +54,12 @@ void Dequantize(CoeffBlock* coeffs, int quality);
 void EncodeBlock(const CoeffBlock& coeffs, int32_t* dc_predictor,
                  BitWriter* out);
 
-/// Reverses EncodeBlock.
-Result<CoeffBlock> DecodeBlock(int32_t* dc_predictor, BitReader* in);
+/// Reverses EncodeBlock into `*coeffs` (every entry is written) and sets
+/// `*nonzero` to whether any coefficient is non-zero. A symbol the encoder
+/// cannot emit — an AC run that leaves the block, or a DC delta, DC
+/// predictor or level outside int32 — is DataLoss, as is an underrun.
+[[nodiscard]] Status DecodeBlock(int32_t* dc_predictor, BitReader* in,
+                                 CoeffBlock* coeffs, bool* nonzero);
 
 /// Splits a width×height int16 plane into 8×8 blocks (edge blocks padded by
 /// replicating the last row/column), transforms, quantizes and entropy-codes
@@ -77,7 +81,8 @@ void EncodePlaneWithRecon(const int16_t* plane, int width, int height,
                           int quality, BitWriter* out, int16_t* recon);
 
 /// Reverses EncodePlane into caller-owned storage of width*height samples —
-/// the zero-allocation decode path.
+/// the zero-allocation decode path. An all-zero block skips dequantize and
+/// the IDCT: both map zero to exactly zero at every kernel level.
 [[nodiscard]] Status DecodePlaneInto(int width, int height, int quality,
                                      BitReader* in, int16_t* out);
 

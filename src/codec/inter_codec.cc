@@ -16,6 +16,9 @@ namespace avdb {
 namespace {
 
 constexpr int kMacroblock = 16;
+// Largest motion-vector component the encoder can emit (its search_range
+// bound); a decoded vector beyond it is corrupt.
+constexpr int kMaxMotion = 64;
 
 struct MotionVector {
   int dx = 0;
@@ -97,8 +100,9 @@ MotionVector ThreeStepSearch(const PlaneView& cur, const PlaneView& ref,
 // Builds the motion-compensated prediction of a whole plane from `ref`
 // given per-macroblock vectors, into caller-owned (pooled) storage of
 // width×height bytes. Macroblocks whose displaced source sits fully inside
-// the frame copy row-wise; edge macroblocks take the clamped per-sample
-// path. Output matches the per-pixel definition exactly.
+// the frame copy row-wise; an edge macroblock clamps each source row once
+// and fills it as (replicated first sample | copied span | replicated last
+// sample), which is SampleClamped evaluated per pixel.
 void PredictPlaneInto(const PlaneView& ref,
                       const std::vector<MotionVector>& mvs, int mb_cols,
                       uint8_t* out) {
@@ -120,12 +124,20 @@ void PredictPlaneInto(const PlaneView& ref,
                       static_cast<size_t>(bw));
         }
       } else {
+        const int sx = bx + mv.dx;  // source column of dst[0]
+        const int left = std::clamp(-sx, 0, bw);
+        const int right = std::clamp(width - sx, left, bw);
         for (int y = 0; y < bh; ++y) {
+          const uint8_t* src =
+              ref.row(std::clamp(by + y + mv.dy, 0, height - 1));
           uint8_t* dst = out + static_cast<size_t>(by + y) * width + bx;
-          for (int x = 0; x < bw; ++x) {
-            dst[x] = static_cast<uint8_t>(
-                SampleClamped(ref, bx + x + mv.dx, by + y + mv.dy));
+          std::memset(dst, src[0], static_cast<size_t>(left));
+          if (right > left) {
+            std::memcpy(dst + left, src + (sx + left),
+                        static_cast<size_t>(right - left));
           }
+          std::memset(dst + right, src[width - 1],
+                      static_cast<size_t>(bw - right));
         }
       }
     }
@@ -214,6 +226,10 @@ Result<VideoFrame> DecodePFrame(const Buffer& data,
     if (!dx.ok()) return dx.status();
     auto dy = reader.ReadSignedVarint();
     if (!dy.ok()) return dy.status();
+    if (dx.value() < -kMaxMotion || dx.value() > kMaxMotion ||
+        dy.value() < -kMaxMotion || dy.value() > kMaxMotion) {
+      return Status::DataLoss("motion vector out of range");
+    }
     mv.dx = static_cast<int>(dx.value());
     mv.dy = static_cast<int>(dy.value());
   }
@@ -306,7 +322,7 @@ Result<EncodedVideo> InterCodec::Encode(const VideoValue& value,
   if (params.gop_size < 1) {
     return Status::InvalidArgument("gop_size must be >= 1");
   }
-  if (params.search_range < 1 || params.search_range > 64) {
+  if (params.search_range < 1 || params.search_range > kMaxMotion) {
     return Status::InvalidArgument("search_range must be in [1, 64]");
   }
   EncodedVideo out;

@@ -416,6 +416,12 @@ class Parser {
 }  // namespace
 
 Result<PredicatePtr> ParsePredicate(const std::string& text) {
+  if (text.size() > kMaxPredicateBytes) {
+    return Status::InvalidArgument(
+        "predicate text is " + std::to_string(text.size()) +
+        " bytes, over the " + std::to_string(kMaxPredicateBytes) +
+        "-byte cap that bounds its terms");
+  }
   if (StripWhitespace(text).empty()) return TruePredicate();
   Tokenizer tokenizer(text);
   auto tokens = tokenizer.Tokenize();

@@ -53,9 +53,15 @@ using PredicatePtr = std::shared_ptr<const Predicate>;
 /// evaluating or destroying the tree recurses once per level.
 inline constexpr int kMaxPredicateTerms = 4096;
 
+/// Longest predicate text ParsePredicate accepts, checked before a single
+/// token is built: room for kMaxPredicateTerms terms of 128 bytes each, so
+/// an oversized text cannot grow the token list past a bounded size.
+inline constexpr size_t kMaxPredicateBytes = 128 * kMaxPredicateTerms;
+
 /// Parses a predicate. Returns InvalidArgument with a position-annotated
-/// message on syntax errors, on too-deep `not`/`(` nesting and on more
-/// than kMaxPredicateTerms `and`/`or` terms.
+/// message on syntax errors, on too-deep `not`/`(` nesting, on more than
+/// kMaxPredicateTerms `and`/`or` terms and on a text longer than
+/// kMaxPredicateBytes.
 Result<PredicatePtr> ParsePredicate(const std::string& text);
 
 /// Always-true predicate (an empty `where` clause).

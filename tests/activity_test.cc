@@ -292,6 +292,82 @@ TEST(PlaybackTest, EncodedValuePlaysThroughGenericSource) {
   EXPECT_LT(mae, 12.0);
 }
 
+TEST(PlaybackTest, FetchOffsetsFollowStoredLayoutAcrossSeeks) {
+  // A routed source asks for each frame at its byte offset in the stored
+  // blob: the sum of the stored sizes of the frames before it, however the
+  // source got there (a fresh start, a backward cue, a re-bind).
+  auto codec =
+      CodecRegistry::Default().VideoCodecFor(EncodingFamily::kInter).value();
+  VideoCodecParams params;
+  params.gop_size = 4;
+  auto encode = [&](VideoPattern pattern) {
+    auto raw = GenerateVideo(SmallVideoType(), 12, pattern).value();
+    return EncodedVideoValue::Create(codec, codec->Encode(*raw, params).value())
+        .value();
+  };
+  auto box = encode(VideoPattern::kMovingBox);
+  auto noise = encode(VideoPattern::kNoise);
+
+  std::vector<std::pair<int64_t, int64_t>> fetched;  // (offset, length)
+  SourceOptions options;
+  options.fetcher = [&](const std::string&, int64_t offset, int64_t length,
+                        int64_t) -> Result<MediaStore::ReadResult> {
+    fetched.emplace_back(offset, length);
+    return MediaStore::ReadResult{};
+  };
+  EventEngine engine;
+  ActivityGraph graph{ActivityEnv{&engine, nullptr}};
+  ActivityEnv env{&engine, nullptr};
+  auto source = VideoSource::Create("src", ActivityLocation::kDatabase, env,
+                                    options);
+  auto window = VideoWindow::Create("win", ActivityLocation::kClient, env,
+                                    MatchingQuality(SmallVideoType()));
+  ASSERT_TRUE(graph.Add(source).ok());
+  ASSERT_TRUE(graph.Add(window).ok());
+  ASSERT_TRUE(source->Bind(box, VideoSource::kPortOut).ok());
+  ASSERT_TRUE(graph
+                  .Connect(source.get(), VideoSource::kPortOut, window.get(),
+                           VideoWindow::kPortIn)
+                  .ok());
+
+  // Checks that the fetches since the last call were frames first, first+1,
+  // ... at their stored offsets and sizes; returns how many there were.
+  auto expect_layout = [&](const VideoValue& value, int64_t first) {
+    int64_t offset = 0;
+    for (int64_t i = 0; i < first; ++i) offset += value.StoredFrameBytes(i);
+    for (size_t k = 0; k < fetched.size(); ++k) {
+      const int64_t i = first + static_cast<int64_t>(k);
+      EXPECT_EQ(fetched[k].first, offset) << "frame " << i;
+      EXPECT_EQ(fetched[k].second, value.StoredFrameBytes(i)) << "frame " << i;
+      offset += value.StoredFrameBytes(i);
+    }
+    const size_t count = fetched.size();
+    fetched.clear();
+    return count;
+  };
+
+  ASSERT_TRUE(graph.StartAll().ok());
+  graph.RunUntilIdle();
+  EXPECT_EQ(expect_layout(*box, 0), 12u);
+
+  // Backward from past frame 11 to frame 3, stopped after a few frames.
+  ASSERT_TRUE(source->Cue(WorldTime::FromMillis(300)).ok());
+  ASSERT_TRUE(graph.StartAll().ok());
+  graph.RunUntil(WorldTime::FromNanos(engine.now_ns() + 250000000));
+  ASSERT_TRUE(graph.StopAll().ok());
+  graph.RunUntilIdle();
+  const size_t partial = expect_layout(*box, 3);
+  EXPECT_GT(partial, 0u);
+  EXPECT_LT(partial, 6u);
+
+  // A re-bound value has its own layout, even ahead of the old position.
+  ASSERT_TRUE(source->Bind(noise, VideoSource::kPortOut).ok());
+  ASSERT_TRUE(source->Cue(WorldTime::FromMillis(900)).ok());
+  ASSERT_TRUE(graph.StartAll().ok());
+  graph.RunUntilIdle();
+  EXPECT_EQ(expect_layout(*noise, 9), 3u);
+}
+
 // --------------------------------------------------------- Reader->decoder --
 
 TEST(Fig2ChainTest, ReadDecodeDisplay) {

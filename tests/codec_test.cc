@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <iterator>
+#include <limits>
+#include <utility>
 
 #include "base/buffer.h"
 #include "base/rng.h"
@@ -48,6 +52,52 @@ TEST(BitIoTest, UnderrunIsDataLoss) {
   BitReader r(buf);
   ASSERT_TRUE(r.ReadBits(8).ok());  // padded byte
   EXPECT_EQ(r.ReadBits(8).status().code(), StatusCode::kDataLoss);
+}
+
+TEST(BitIoTest, UnalignedVarintsMatchAlignedOnes) {
+  // Varints normally start on a byte boundary and are read a byte at a
+  // time; behind a 3-bit field they take the bit-serial path.
+  const uint64_t values[] = {0, 1, 0x7F, 0x80, 0x3FFF, uint64_t{1} << 35,
+                             ~uint64_t{0}};
+  BitWriter w;
+  w.WriteBits(0b101, 3);
+  for (uint64_t v : values) w.WriteVarint(v);
+  w.WriteSignedVarint(std::numeric_limits<int64_t>::min());
+  const Buffer buf = w.Finish();
+  BitReader r(buf);
+  ASSERT_EQ(r.ReadBits(3).value(), 0b101u);
+  for (uint64_t v : values) EXPECT_EQ(r.ReadVarint().value(), v);
+  EXPECT_EQ(r.ReadSignedVarint().value(), std::numeric_limits<int64_t>::min());
+}
+
+TEST(BitIoTest, VarintUnderrunAndOverlengthAreDataLoss) {
+  for (int lead_bits : {0, 5}) {
+    // Eleven continuation groups: longer than any 64-bit varint.
+    BitWriter long_writer;
+    long_writer.WriteBits(0, lead_bits);
+    for (int i = 0; i < 11; ++i) long_writer.WriteBits(0x80, 8);
+    long_writer.WriteBits(0, 8);
+    const Buffer too_long = long_writer.Finish();
+    BitReader long_reader(too_long);
+    ASSERT_TRUE(long_reader.ReadBits(lead_bits).ok());
+    auto v = long_reader.ReadVarint();
+    ASSERT_FALSE(v.ok()) << lead_bits;
+    EXPECT_EQ(v.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(v.status().message().find("too long"), std::string::npos);
+
+    // A continuation bit on the last byte of the stream.
+    BitWriter cut_writer;
+    cut_writer.WriteBits(0, lead_bits);
+    cut_writer.WriteVarint(1);
+    cut_writer.WriteBits(0x80, 8);
+    const Buffer cut = cut_writer.Finish();
+    BitReader cut_reader(cut.data(), cut.size() - (lead_bits > 0 ? 1 : 0));
+    ASSERT_TRUE(cut_reader.ReadBits(lead_bits).ok());
+    ASSERT_EQ(cut_reader.ReadVarint().value(), 1u);
+    auto u = cut_reader.ReadVarint();
+    ASSERT_FALSE(u.ok()) << lead_bits;
+    EXPECT_EQ(u.status().code(), StatusCode::kDataLoss);
+  }
 }
 
 class VarintPropertyTest : public ::testing::TestWithParam<uint64_t> {};
@@ -136,6 +186,85 @@ TEST(BlockTransformTest, TruncatedStreamFailsCleanly) {
   if (!decoded.ok()) {
     EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
   }
+}
+
+// Decodes one crafted block (DC delta, then (run, level) pairs, then an
+// end-of-block marker) with the DC predictor starting at `predictor`.
+Status DecodeCraftedBlock(int64_t dc_delta,
+                          const std::vector<std::pair<uint64_t, int64_t>>& ac,
+                          int32_t predictor = 0,
+                          block_transform::CoeffBlock* coeffs = nullptr,
+                          bool* nonzero = nullptr) {
+  BitWriter w;
+  w.WriteSignedVarint(dc_delta);
+  for (const auto& [run, level] : ac) {
+    w.WriteVarint(run);
+    w.WriteSignedVarint(level);
+  }
+  w.WriteVarint(0x3F);
+  const Buffer bits = w.Finish();
+  BitReader reader(bits);
+  block_transform::CoeffBlock local;
+  bool local_nonzero = false;
+  return block_transform::DecodeBlock(&predictor, &reader,
+                                      coeffs ? coeffs : &local,
+                                      nonzero ? nonzero : &local_nonzero);
+}
+
+TEST(EntropyHardeningTest, AcRunMustStayInsideTheBlock) {
+  // 2^31 once wrapped the zigzag index negative (out-of-bounds write);
+  // 2^32+1 once truncated to a run of 1 and was accepted.
+  for (uint64_t run : {uint64_t{1} << 31, (uint64_t{1} << 32) + 1,
+                       uint64_t{64}, ~uint64_t{0}}) {
+    EXPECT_EQ(DecodeCraftedBlock(0, {{run, 5}}).code(), StatusCode::kDataLoss)
+        << run;
+  }
+  // After one level at zigzag index 1, a run of 61 lands on index 63, the
+  // last coefficient; a run of 62 would leave the block.
+  block_transform::CoeffBlock coeffs;
+  bool nonzero = false;
+  ASSERT_TRUE(
+      DecodeCraftedBlock(0, {{0, 3}, {61, -7}}, 0, &coeffs, &nonzero).ok());
+  EXPECT_TRUE(nonzero);
+  EXPECT_EQ(coeffs[1], 3);   // zigzag 1 is raster 1
+  EXPECT_EQ(coeffs[63], -7);  // zigzag 63 is raster 63
+  EXPECT_EQ(DecodeCraftedBlock(0, {{0, 3}, {62, -7}}).code(),
+            StatusCode::kDataLoss);
+}
+
+TEST(EntropyHardeningTest, DcAndLevelsMustFitInt32) {
+  const int64_t kMin = std::numeric_limits<int32_t>::min();
+  const int64_t kMax = std::numeric_limits<int32_t>::max();
+  EXPECT_TRUE(DecodeCraftedBlock(kMin, {}).ok());
+  EXPECT_EQ(DecodeCraftedBlock(kMax + 1, {}).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeCraftedBlock(std::numeric_limits<int64_t>::min(), {}).code(),
+            StatusCode::kDataLoss);
+  // The delta fits but the running predictor would not.
+  EXPECT_TRUE(DecodeCraftedBlock(0, {}, static_cast<int32_t>(kMax)).ok());
+  EXPECT_EQ(DecodeCraftedBlock(1, {}, static_cast<int32_t>(kMax)).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeCraftedBlock(-1, {}, static_cast<int32_t>(kMin)).code(),
+            StatusCode::kDataLoss);
+  EXPECT_TRUE(DecodeCraftedBlock(0, {{0, kMin}, {0, kMax}}).ok());
+  EXPECT_EQ(DecodeCraftedBlock(0, {{0, kMax + 1}}).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(DecodeCraftedBlock(0, {{3, kMin - 1}}).code(),
+            StatusCode::kDataLoss);
+}
+
+TEST(EntropyHardeningTest, ReportsAllZeroBlocks) {
+  block_transform::CoeffBlock coeffs;
+  coeffs.fill(99);  // a previous block's leftovers must not survive
+  bool nonzero = true;
+  ASSERT_TRUE(DecodeCraftedBlock(0, {}, 0, &coeffs, &nonzero).ok());
+  EXPECT_FALSE(nonzero);
+  for (int32_t c : coeffs) EXPECT_EQ(c, 0);
+  // The DC coefficient is the running predictor, not the delta.
+  ASSERT_TRUE(DecodeCraftedBlock(0, {}, 4, &coeffs, &nonzero).ok());
+  EXPECT_TRUE(nonzero);
+  EXPECT_EQ(coeffs[0], 4);
+  ASSERT_TRUE(DecodeCraftedBlock(0, {{5, 1}}, 0, &coeffs, &nonzero).ok());
+  EXPECT_TRUE(nonzero);
 }
 
 // ------------------------------------------------------------ Video codecs --
@@ -245,6 +374,97 @@ TEST(InterCodecTest, RejectsBadParams) {
   params.gop_size = 4;
   params.search_range = 0;
   EXPECT_FALSE(InterCodec().Encode(*video, params).ok());
+}
+
+// A P-frame payload with the given per-macroblock vectors and an all-zero
+// residual in every 8×8 block of every plane, so it decodes to exactly its
+// motion-compensated prediction.
+Buffer CraftPFrame(const std::vector<std::pair<int64_t, int64_t>>& mvs,
+                   int width, int height, int planes) {
+  BitWriter w;
+  for (const auto& [dx, dy] : mvs) {
+    w.WriteSignedVarint(dx);
+    w.WriteSignedVarint(dy);
+  }
+  const int blocks = ((width + 7) / 8) * ((height + 7) / 8);
+  for (int i = 0; i < planes * blocks; ++i) {
+    w.WriteSignedVarint(0);
+    w.WriteVarint(0x3F);
+  }
+  return w.Finish();
+}
+
+// 40×24 (a partial macroblock column and row), so prediction meets every
+// frame edge.
+constexpr int kMvWidth = 40;
+constexpr int kMvHeight = 24;
+constexpr int kMvMacroblocks = 3 * 2;
+
+EncodedVideo TwoFrameInterStream() {
+  const auto type =
+      MediaDataType::RawVideo(kMvWidth, kMvHeight, 24, Rational(10));
+  auto video = GenerateVideo(type, 2, VideoPattern::kMovingGradient).value();
+  VideoCodecParams params;
+  params.gop_size = 2;
+  return InterCodec().Encode(*video, params).value();
+}
+
+TEST(InterCodecTest, MotionVectorsPastSearchRangeAreDataLoss) {
+  EncodedVideo stream = TwoFrameInterStream();
+  ASSERT_FALSE(stream.frames[1].is_intra);
+  for (int64_t bad : {int64_t{65}, int64_t{-65}, int64_t{1} << 32,
+                      std::numeric_limits<int64_t>::min(),
+                      std::numeric_limits<int64_t>::max()}) {
+    for (bool vertical : {false, true}) {
+      std::vector<std::pair<int64_t, int64_t>> mvs(kMvMacroblocks, {0, 0});
+      mvs[4] = vertical ? std::make_pair(int64_t{0}, bad)
+                        : std::make_pair(bad, int64_t{0});
+      stream.frames[1].data = CraftPFrame(mvs, kMvWidth, kMvHeight, 3);
+      auto session = InterCodec().NewDecoder(stream).value();
+      auto frame = session->DecodeFrame(1);
+      ASSERT_FALSE(frame.ok()) << bad;
+      EXPECT_EQ(frame.status().code(), StatusCode::kDataLoss) << bad;
+    }
+  }
+}
+
+TEST(InterCodecTest, EdgePredictionMatchesPerSampleClamping) {
+  // Vectors up to the ±64 limit move whole macroblocks partly or entirely
+  // off the 40×24 reference; each predicted sample must equal the
+  // reference sample at the displaced position clamped into the frame.
+  EncodedVideo stream = TwoFrameInterStream();
+  Rng rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<std::pair<int64_t, int64_t>> mvs = {
+        {64, 64}, {-64, -64}, {64, -64}, {-64, 64}, {-8, 0}, {0, 9}};
+    if (trial > 0) {
+      for (auto& mv : mvs) {
+        mv = {rng.NextInRange(-64, 64), rng.NextInRange(-64, 64)};
+      }
+    }
+    stream.frames[1].data = CraftPFrame(mvs, kMvWidth, kMvHeight, 3);
+    auto session = InterCodec().NewDecoder(stream).value();
+    const VideoFrame ref = session->DecodeFrame(0).value();
+    auto predicted = session->DecodeFrame(1);
+    ASSERT_TRUE(predicted.ok()) << predicted.status().ToString();
+    for (int p = 0; p < ref.plane_count(); ++p) {
+      const PlaneView want = ref.plane(p);
+      const PlaneView got = predicted.value().plane(p);
+      for (int y = 0; y < kMvHeight; ++y) {
+        for (int x = 0; x < kMvWidth; ++x) {
+          const auto& [dx, dy] =
+              mvs[static_cast<size_t>(y / 16) * 3 + x / 16];
+          const int sx =
+              std::clamp(x + static_cast<int>(dx), 0, kMvWidth - 1);
+          const int sy =
+              std::clamp(y + static_cast<int>(dy), 0, kMvHeight - 1);
+          ASSERT_EQ(got.at(x, y), want.at(sx, sy))
+              << "trial " << trial << " plane " << p << " at " << x << ","
+              << y;
+        }
+      }
+    }
+  }
 }
 
 TEST(DeltaCodecTest, LosslessAtQuality100OnSmallDeltas) {
@@ -592,6 +812,81 @@ TEST(WireFormatTest, EncodedBytesArePinned) {
   EXPECT_EQ(intra, 0x3d46b28421eefbc0ull) << std::hex << intra;
   EXPECT_EQ(inter, 0xa5aeb29bc0456c34ull) << std::hex << inter;
   EXPECT_EQ(scalable, 0xb14ff9c2534ccb87ull) << std::hex << scalable;
+}
+
+// The clip the decoded-frame pins run on: a diagonal gradient drifting
+// every frame at a size that is not a multiple of 8 or 16, so P-frames
+// carry motion vectors that point past the frame edge and residual planes
+// with all-zero blocks (simd_kernels_test checks both properties).
+std::shared_ptr<RawVideoValue> DecodePinClip() {
+  const auto type = MediaDataType::RawVideo(44, 28, 24, Rational(10));
+  return GenerateVideo(type, 9, VideoPattern::kMovingGradient, 7).value();
+}
+
+// FastHash64 of every frame `codec` decodes from its own encoding of
+// `video`, in presentation order.
+std::vector<uint64_t> DecodedFrameDigests(const VideoCodec& codec,
+                                          const VideoValue& video,
+                                          const VideoCodecParams& params) {
+  auto encoded = codec.Encode(video, params);
+  EXPECT_TRUE(encoded.ok()) << codec.name();
+  if (!encoded.ok()) return {};
+  auto session = codec.NewDecoder(encoded.value());
+  EXPECT_TRUE(session.ok()) << codec.name();
+  if (!session.ok()) return {};
+  std::vector<uint64_t> digests;
+  for (int64_t i = 0; i < video.FrameCount(); ++i) {
+    auto frame = session.value()->DecodeFrame(i);
+    EXPECT_TRUE(frame.ok()) << codec.name() << " frame " << i;
+    if (!frame.ok()) return digests;
+    digests.push_back(FastHash64(frame.value().data().data(),
+                                 frame.value().data().size()));
+  }
+  return digests;
+}
+
+std::string HexList(const std::vector<uint64_t>& digests) {
+  std::string out;
+  char buf[24];
+  for (uint64_t d : digests) {
+    std::snprintf(buf, sizeof(buf), "0x%016llxull, ",
+                  static_cast<unsigned long long>(d));
+    out += buf;
+  }
+  return out;
+}
+
+// Pins every decoded frame of the intra, inter and scalable codecs, so a
+// decoder speed-up that moves a single output sample fails here. The
+// digests were captured with the decoder that ran every block through
+// dequantize and the IDCT and clamped motion per sample.
+TEST(WireFormatTest, DecodedFramesArePinned) {
+  auto video = DecodePinClip();
+  VideoCodecParams params;
+  params.quality = 80;
+  params.gop_size = 4;
+  params.layer_count = 3;
+  const std::vector<uint64_t> intra =
+      DecodedFrameDigests(IntraCodec(), *video, params);
+  const std::vector<uint64_t> inter =
+      DecodedFrameDigests(InterCodec(), *video, params);
+  const std::vector<uint64_t> scalable =
+      DecodedFrameDigests(ScalableCodec(), *video, params);
+  const std::vector<uint64_t> want_intra = {
+      0x02100d98eb08debdull, 0x3aa70d042f031f55ull, 0x2d3883fb92a194f5ull,
+      0xc7d7dc9a11283ad6ull, 0x33a9d8076a973319ull, 0x166df15fddd487c9ull,
+      0xbec45e91431a2b36ull, 0x3deb31e5dcf4a358ull, 0x34712f3a3e3fc600ull};
+  const std::vector<uint64_t> want_inter = {
+      0x02100d98eb08debdull, 0xb0b932cf1a8c4443ull, 0xb800e558869a7af6ull,
+      0xfaa63dc60c42e138ull, 0x33a9d8076a973319ull, 0xcae4a0dedc9ead76ull,
+      0x70f830b5253794a0ull, 0x9b3bfb42f48fd6c3ull, 0x34712f3a3e3fc600ull};
+  const std::vector<uint64_t> want_scalable = {
+      0xef8943def175a859ull, 0x394b58c3875fd45bull, 0x6c0ad0bd7ab04829ull,
+      0x487ae0db4fe79d67ull, 0x78606d08def44d0eull, 0x2debbaf2d344f766ull,
+      0x6808d01fc03493e1ull, 0xeac87062ed42b0b8ull, 0x1cab8caa198174a2ull};
+  EXPECT_EQ(intra, want_intra) << HexList(intra);
+  EXPECT_EQ(inter, want_inter) << HexList(inter);
+  EXPECT_EQ(scalable, want_scalable) << HexList(scalable);
 }
 
 // ------------------------------------------------------------ Threading --

@@ -13,6 +13,8 @@
 #include "base/retry.h"
 #include "base/rng.h"
 #include "codec/audio_codec.h"
+#include "codec/bitio.h"
+#include "codec/inter_codec.h"
 #include "codec/registry.h"
 #include "codec/scalable_codec.h"
 #include "db/database.h"
@@ -76,6 +78,60 @@ TEST_P(CorruptionTest, CorruptEncodedVideoNeverCrashes) {
         }
       }
     }
+  }
+}
+
+// A stored inter stream whose P-frame was replaced by one hostile symbol
+// must fail with DataLoss after a storage round trip: it may neither crash
+// (an AC run of 2^31 once indexed the block out of bounds) nor decode (a
+// run of 2^32+1 once truncated to 1 and was accepted).
+TEST(HostileStreamTest, OutOfRangeSymbolsInAStoredStreamAreDataLoss) {
+  const auto type = MediaDataType::RawVideo(32, 16, 8, Rational(10));
+  auto raw = GenerateVideo(type, 2, VideoPattern::kMovingBox).value();
+  VideoCodecParams params;
+  params.gop_size = 2;
+  const EncodedVideo good = InterCodec().Encode(*raw, params).value();
+  ASSERT_FALSE(good.frames[1].is_intra);
+  struct Case {
+    const char* what;
+    int64_t mv_dx;
+    int64_t dc_delta;
+    uint64_t run;
+    int64_t level;
+  };
+  const Case cases[] = {
+      {"AC run 2^31", 0, 0, uint64_t{1} << 31, 1},
+      {"AC run 2^32+1", 0, 0, (uint64_t{1} << 32) + 1, 1},
+      {"DC delta 2^31", 0, int64_t{1} << 31, 0, 1},
+      {"level 2^31", 0, 0, 0, int64_t{1} << 31},
+      {"motion vector 65", 65, 0, 0, 1},
+  };
+  auto decode_p_frame = [&](const Case& c) {
+    BitWriter w;
+    w.WriteSignedVarint(c.mv_dx);  // the two macroblocks' vectors
+    w.WriteSignedVarint(0);
+    w.WriteSignedVarint(0);
+    w.WriteSignedVarint(0);
+    w.WriteSignedVarint(c.dc_delta);  // first block of the plane
+    w.WriteVarint(c.run);
+    w.WriteSignedVarint(c.level);
+    w.WriteVarint(0x3F);
+    for (int block = 1; block < 8; ++block) {
+      w.WriteSignedVarint(0);
+      w.WriteVarint(0x3F);
+    }
+    EncodedVideo hostile = good;
+    hostile.frames[1].data = w.Finish();
+    auto stored = EncodedVideo::Deserialize(hostile.Serialize());
+    if (!stored.ok()) return stored.status();
+    auto session = InterCodec().NewDecoder(stored.value()).value();
+    AVDB_RETURN_IF_ERROR(session->DecodeFrame(0).status());
+    return session->DecodeFrame(1).status();
+  };
+  // The same payload with in-range symbols decodes.
+  ASSERT_TRUE(decode_p_frame({"control", 64, -5, 62, -9}).ok());
+  for (const Case& c : cases) {
+    EXPECT_EQ(decode_p_frame(c).code(), StatusCode::kDataLoss) << c.what;
   }
 }
 
@@ -210,6 +266,26 @@ TEST(PredicateParserTest, FlatChainPastTermCapFailsWithStatus) {
   ASSERT_TRUE(last_fails.ok());
   EXPECT_FALSE(last_fails.value()->Matches(object));
   EXPECT_FALSE(ParsePredicate(prefix + " and x = 1 and x = 1").ok());
+}
+
+TEST(PredicateParserTest, TextPastByteCapFailsBeforeTokenizing) {
+  // 10^6 terms (≈10 MB) once tokenized in full, peaking near 206 MB RSS,
+  // before the term cap refused them; the byte cap refuses the text first.
+  std::string over(kMaxPredicateBytes + 1, ' ');
+  over.replace(0, 5, "x = 1");
+  auto refused = ParsePredicate(over);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.status().message().find("byte cap"), std::string::npos);
+
+  // A chain of kMaxPredicateTerms terms, each over 100 bytes long, fits
+  // under the cap and parses.
+  const std::string term(100, 'a');
+  std::string chain = term + " = 1";
+  for (int i = 1; i < kMaxPredicateTerms; ++i) chain += " and " + term + "=1";
+  ASSERT_LE(chain.size(), kMaxPredicateBytes);
+  auto parsed = ParsePredicate(chain);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
 }
 
 // ----------------------------------------------------- cross-module invariants --

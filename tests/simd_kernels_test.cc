@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,7 +15,9 @@
 #include "base/rng.h"
 #include "codec/bitio.h"
 #include "codec/block_transform.h"
+#include "codec/inter_codec.h"
 #include "codec/simd/kernels.h"
+#include "media/synthetic.h"
 
 namespace avdb {
 namespace {
@@ -288,6 +292,99 @@ TEST(SimdKernels, PlaneStreamsAreByteIdenticalAcrossLevels) {
         ASSERT_EQ(ref_decoded.value(), decoded.value())
             << "decoded plane differs at " << KernelLevelName(level);
       }
+    }
+  }
+}
+
+TEST(SimdKernels, ZeroCoefficientsDecodeToZeroAtEveryLevel) {
+  // DecodePlaneInto writes zeros for an all-zero block instead of running
+  // dequantize and the IDCT; that is exact only if both map zero to zero.
+  KernelGuard guard;
+  for (KernelLevel level : simd::AvailableKernelLevels()) {
+    ASSERT_TRUE(simd::ForceKernelsForTest(level));
+    const CodecKernels& k = simd::ActiveKernels();
+    for (int quality = 1; quality <= 100; ++quality) {
+      int32_t coeffs[kBlockArea] = {};
+      int16_t out[kBlockArea];
+      std::fill(std::begin(out), std::end(out), int16_t{77});
+      k.dequantize(coeffs, block_transform::QualityQuantTable(quality));
+      k.idct8x8(coeffs, out);
+      for (int i = 0; i < kBlockArea; ++i) {
+        ASSERT_EQ(coeffs[i], 0) << KernelLevelName(level) << " q" << quality;
+        ASSERT_EQ(out[i], 0) << KernelLevelName(level) << " q" << quality;
+      }
+    }
+  }
+}
+
+// The clip WireFormatTest.DecodedFramesArePinned runs on (codec_test.cc).
+std::shared_ptr<RawVideoValue> DecodePinClip() {
+  const auto type = MediaDataType::RawVideo(44, 28, 24, Rational(10));
+  return synthetic::GenerateVideo(type, 9,
+                                  synthetic::VideoPattern::kMovingGradient, 7)
+      .value();
+}
+
+TEST(SimdKernels, InterStreamDecodesIdenticallyAcrossLevels) {
+  // The pinned clip decoded at every dispatch level must match the scalar
+  // reference frame for frame. The clip is only a useful witness if its
+  // P-frames carry vectors past the frame edge (edge prediction) and
+  // all-zero residual blocks (the skipped IDCT), so count both.
+  KernelGuard guard;
+  auto video = DecodePinClip();
+  VideoCodecParams params;
+  params.quality = 80;
+  params.gop_size = 4;
+  ASSERT_TRUE(simd::ForceKernelsForTest(KernelLevel::kScalar));
+  const EncodedVideo stream = InterCodec().Encode(*video, params).value();
+
+  const int width = video->width();
+  const int height = video->height();
+  int edge_vectors = 0;
+  int zero_blocks = 0;
+  for (const EncodedFrame& frame : stream.frames) {
+    if (frame.is_intra) continue;
+    BitReader reader(frame.data);
+    for (int by = 0; by < height; by += 16) {
+      for (int bx = 0; bx < width; bx += 16) {
+        const int64_t dx = reader.ReadSignedVarint().value();
+        const int64_t dy = reader.ReadSignedVarint().value();
+        const int bw = std::min(16, width - bx);
+        const int bh = std::min(16, height - by);
+        edge_vectors += bx + dx < 0 || by + dy < 0 || bx + dx + bw > width ||
+                        by + dy + bh > height;
+      }
+    }
+    for (int plane = 0; plane < 3; ++plane) {
+      int32_t dc_predictor = 0;
+      block_transform::CoeffBlock coeffs;
+      for (int i = 0; i < ((width + 7) / 8) * ((height + 7) / 8); ++i) {
+        bool nonzero = false;
+        ASSERT_TRUE(block_transform::DecodeBlock(&dc_predictor, &reader,
+                                                 &coeffs, &nonzero)
+                        .ok());
+        zero_blocks += !nonzero;
+      }
+    }
+  }
+  EXPECT_GT(edge_vectors, 0);
+  EXPECT_GT(zero_blocks, 0);
+
+  auto decode_all = [&] {
+    std::vector<VideoFrame> frames;
+    auto session = InterCodec().NewDecoder(stream).value();
+    for (int64_t i = 0; i < video->FrameCount(); ++i) {
+      frames.push_back(session->DecodeFrame(i).value());
+    }
+    return frames;
+  };
+  const std::vector<VideoFrame> ref = decode_all();
+  for (KernelLevel level : SimdLevels()) {
+    ASSERT_TRUE(simd::ForceKernelsForTest(level));
+    const std::vector<VideoFrame> frames = decode_all();
+    for (size_t i = 0; i < ref.size(); ++i) {
+      ASSERT_EQ(ref[i].data(), frames[i].data())
+          << "frame " << i << " differs at " << KernelLevelName(level);
     }
   }
 }
