@@ -20,6 +20,9 @@
 //      avbench's playback sessions decode), decoded front to back at the
 //      dispatched level; every level must decode it to the scalar
 //      reference's frames (exit 1 on any diff).
+//   6. Inter encode µs/frame: the same clip encoded at the dispatched
+//      level (motion search, residual transform, reconstruction); every
+//      level must write the scalar reference's bytes (exit 1 on any diff).
 //
 // Output: BENCH_codec_micro.json.
 
@@ -403,12 +406,26 @@ SteadyStatePoint MeasureSteadyState() {
   return point;
 }
 
-struct InterDecodePoint {
-  int frames = 0;
+struct InterPoint {
+  int frames = 24;
   double us_per_frame = 0;
   std::vector<std::string> levels;
   bool identical = true;
 };
+
+// Two GOPs of a drifting gradient at the shape avbench's sessions use.
+std::shared_ptr<RawVideoValue> InterClip(int frames) {
+  const auto type = MediaDataType::RawVideo(kWidth, kHeight, 8, Rational(30));
+  return synthetic::GenerateVideo(type, frames,
+                                  synthetic::VideoPattern::kMovingGradient)
+      .value();
+}
+
+VideoCodecParams InterParams() {
+  VideoCodecParams params;
+  params.gop_size = 12;
+  return params;
+}
 
 std::vector<VideoFrame> DecodeAll(const EncodedVideo& stream) {
   std::vector<VideoFrame> frames;
@@ -419,24 +436,18 @@ std::vector<VideoFrame> DecodeAll(const EncodedVideo& stream) {
   return frames;
 }
 
-// Two GOPs of a drifting gradient, encoded once at the scalar level and
-// decoded in sequence by a fresh session per pass.
-InterDecodePoint MeasureInterDecode() {
-  InterDecodePoint point;
-  point.frames = 24;
-  const auto type = MediaDataType::RawVideo(kWidth, kHeight, 8, Rational(30));
-  auto video = synthetic::GenerateVideo(
-                   type, point.frames,
-                   synthetic::VideoPattern::kMovingGradient)
-                   .value();
-  VideoCodecParams params;
-  params.gop_size = 12;
+// The clip encoded once at the scalar level and decoded in sequence by a
+// fresh session per pass.
+InterPoint MeasureInterDecode() {
+  InterPoint point;
+  auto video = InterClip(point.frames);
   if (!simd::ForceKernelsForTest(simd::KernelLevel::kScalar)) {
     std::printf("BYTE IDENTITY: cannot force scalar kernels\n");
     point.identical = false;
     return point;
   }
-  const EncodedVideo stream = InterCodec().Encode(*video, params).value();
+  const EncodedVideo stream =
+      InterCodec().Encode(*video, InterParams()).value();
   const std::vector<VideoFrame> ref = DecodeAll(stream);
   for (simd::KernelLevel level : simd::AvailableKernelLevels()) {
     if (level == simd::KernelLevel::kScalar) continue;
@@ -455,6 +466,41 @@ InterDecodePoint MeasureInterDecode() {
   simd::ResetKernelsForTest();
   const double ns = MeasureNs(5, 5, [&] {
     Sink(DecodeAll(stream).back().At(0, 0));
+  });
+  point.us_per_frame = ns / 1000.0 / point.frames;
+  return point;
+}
+
+// The clip encoded at every level against the scalar reference's bytes,
+// then timed whole at the dispatched level.
+InterPoint MeasureInterEncode() {
+  InterPoint point;
+  auto video = InterClip(point.frames);
+  if (!simd::ForceKernelsForTest(simd::KernelLevel::kScalar)) {
+    std::printf("BYTE IDENTITY: cannot force scalar kernels\n");
+    point.identical = false;
+    return point;
+  }
+  const EncodedVideo ref = InterCodec().Encode(*video, InterParams()).value();
+  for (simd::KernelLevel level : simd::AvailableKernelLevels()) {
+    if (level == simd::KernelLevel::kScalar) continue;
+    if (!simd::ForceKernelsForTest(level)) continue;
+    point.levels.push_back(simd::KernelLevelName(level));
+    const EncodedVideo stream =
+        InterCodec().Encode(*video, InterParams()).value();
+    for (size_t i = 0; i < ref.frames.size(); ++i) {
+      if (!(stream.frames[i].data == ref.frames[i].data)) {
+        std::printf("BYTE IDENTITY: encoded inter frame %zu differs under "
+                    "%s\n",
+                    i, simd::KernelLevelName(level));
+        point.identical = false;
+      }
+    }
+  }
+  simd::ResetKernelsForTest();
+  const double ns = MeasureNs(5, 5, [&] {
+    Sink(static_cast<uint32_t>(
+        InterCodec().Encode(*video, InterParams()).value().TotalBytes()));
   });
   point.us_per_frame = ns / 1000.0 / point.frames;
   return point;
@@ -500,11 +546,18 @@ int main() {
               steady.allocations_per_frame);
 
   std::printf("\n== inter decode, %dx%d GOP-12 stream ==\n", kWidth, kHeight);
-  const InterDecodePoint inter = MeasureInterDecode();
+  const InterPoint inter = MeasureInterDecode();
   std::printf("%.1f us/frame over %d frames; levels checked beyond scalar: "
               "%zu -> %s\n",
               inter.us_per_frame, inter.frames, inter.levels.size(),
               inter.identical ? "identical" : "DIFFER");
+
+  std::printf("\n== inter encode, %dx%d GOP-12 stream ==\n", kWidth, kHeight);
+  const InterPoint encode = MeasureInterEncode();
+  std::printf("%.1f us/frame over %d frames; levels checked beyond scalar: "
+              "%zu -> %s\n",
+              encode.us_per_frame, encode.frames, encode.levels.size(),
+              encode.identical ? "identical" : "DIFFER");
 
   FILE* out = std::fopen("BENCH_codec_micro.json", "w");
   if (out != nullptr) {
@@ -542,12 +595,17 @@ int main() {
                  static_cast<long long>(steady.reuses),
                  static_cast<long long>(steady.allocations),
                  steady.allocations_per_frame);
-    std::fprintf(out,
-                 "  \"inter_decode\": {\"width\": %d, \"height\": %d, "
-                 "\"gop_size\": 12, \"frames\": %d, \"us_per_frame\": "
-                 "%.1f, \"identical\": %s}\n",
-                 kWidth, kHeight, inter.frames, inter.us_per_frame,
-                 inter.identical ? "true" : "false");
+    auto inter_row = [out](const char* name, const InterPoint& point,
+                           const char* separator) {
+      std::fprintf(out,
+                   "  \"%s\": {\"width\": %d, \"height\": %d, "
+                   "\"gop_size\": 12, \"frames\": %d, \"us_per_frame\": "
+                   "%.1f, \"identical\": %s}%s\n",
+                   name, kWidth, kHeight, point.frames, point.us_per_frame,
+                   point.identical ? "true" : "false", separator);
+    };
+    inter_row("inter_decode", inter, ",");
+    inter_row("inter_encode", encode, "");
     std::fprintf(out, "}\n");
     std::fclose(out);
     std::printf("\nwrote BENCH_codec_micro.json\n");
@@ -572,6 +630,10 @@ int main() {
   }
   if (!inter.identical) {
     std::printf("GATE FAILED: decoded inter frames differ across levels\n");
+    ok = false;
+  }
+  if (!encode.identical) {
+    std::printf("GATE FAILED: encoded inter frames differ across levels\n");
     ok = false;
   }
   if (steady.allocations != 0) {

@@ -286,6 +286,9 @@ Result<AudioBlock> AdpcmCodec::DecodeChunk(const EncodedAudio& audio,
     if (!pred.ok()) return pred.status();
     auto idx = r.ReadU8();
     if (!idx.ok()) return idx.status();
+    if (idx.value() >= std::size(kStepTable)) {
+      return Status::DataLoss("ADPCM step index out of range");
+    }
     states[static_cast<size_t>(c)].predictor =
         static_cast<int16_t>(pred.value());
     states[static_cast<size_t>(c)].index = idx.value();

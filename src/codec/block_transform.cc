@@ -147,46 +147,6 @@ Status DecodeBlock(int32_t* dc_predictor, BitReader* in, CoeffBlock* coeffs,
   return Status::OK();
 }
 
-void EncodePlane(const int16_t* plane, int width, int height, int quality,
-                 BitWriter* out) {
-  const simd::CodecKernels& k = simd::ActiveKernels();
-  const simd::QuantTable& qt = QualityQuantTable(quality);
-  int32_t dc_predictor = 0;
-  Block block;
-  CoeffBlock coeffs;
-  for (int by = 0; by < height; by += kBlockSize) {
-    for (int bx = 0; bx < width; bx += kBlockSize) {
-      if (by + kBlockSize <= height && bx + kBlockSize <= width) {
-        // Interior block: straight row copies.
-        for (int y = 0; y < kBlockSize; ++y) {
-          std::memcpy(&block[y * kBlockSize],
-                      plane + static_cast<size_t>(by + y) * width + bx,
-                      kBlockSize * sizeof(int16_t));
-        }
-      } else {
-        // Edge block: replicate the last row/column.
-        for (int y = 0; y < kBlockSize; ++y) {
-          const int sy = std::min(by + y, height - 1);
-          for (int x = 0; x < kBlockSize; ++x) {
-            const int sx = std::min(bx + x, width - 1);
-            block[y * kBlockSize + x] =
-                plane[static_cast<size_t>(sy) * width + sx];
-          }
-        }
-      }
-      k.fdct8x8(block.data(), coeffs.data());
-      k.quantize(coeffs.data(), qt);
-      EncodeBlock(coeffs, &dc_predictor, out);
-    }
-  }
-}
-
-void EncodePlane(const std::vector<int16_t>& plane, int width, int height,
-                 int quality, BitWriter* out) {
-  AVDB_CHECK(plane.size() == static_cast<size_t>(width) * height);
-  EncodePlane(plane.data(), width, height, quality, out);
-}
-
 void EncodePlaneWithRecon(const int16_t* plane, int width, int height,
                           int quality, BitWriter* out, int16_t* recon) {
   const simd::CodecKernels& k = simd::ActiveKernels();
@@ -217,6 +177,7 @@ void EncodePlaneWithRecon(const int16_t* plane, int width, int height,
       k.fdct8x8(block.data(), coeffs.data());
       k.quantize(coeffs.data(), qt);
       EncodeBlock(coeffs, &dc_predictor, out);
+      if (recon == nullptr) continue;
       // The kernels are pure integer, so replaying dequant+idct on the
       // coefficients just written reproduces the decoder's output exactly —
       // no need to round-trip the entropy layer.

@@ -64,29 +64,25 @@ void EncodeBlock(const CoeffBlock& coeffs, int32_t* dc_predictor,
 /// Splits a width×height int16 plane into 8×8 blocks (edge blocks padded by
 /// replicating the last row/column), transforms, quantizes and entropy-codes
 /// the whole plane. `plane` must hold width*height samples.
-void EncodePlane(const int16_t* plane, int width, int height, int quality,
-                 BitWriter* out);
-
-/// Convenience overload over a vector (size-checked).
-void EncodePlane(const std::vector<int16_t>& plane, int width, int height,
-                 int quality, BitWriter* out);
-
-/// EncodePlane that additionally writes the decoder-exact reconstruction of
-/// the plane into `recon` (width*height samples, caller-owned, may not alias
-/// `plane`). Because the transform/quant kernels are pure integer code,
-/// `recon` is bit-for-bit what DecodePlaneInto would produce from the bits
-/// just written — predictive coders use it to maintain their reference
-/// without re-encoding or re-parsing the stream.
+///
+/// A non-null `recon` (width*height samples, caller-owned) receives the
+/// decoder-exact reconstruction of the plane. Because the transform/quant
+/// kernels are pure integer code, `recon` is bit-for-bit what
+/// DecodePlaneInto would produce from the bits just written — predictive
+/// coders use it to maintain their reference without re-encoding or
+/// re-parsing the stream. `recon` may be `plane` itself: each block reads
+/// only its own samples, before its reconstruction is written.
 void EncodePlaneWithRecon(const int16_t* plane, int width, int height,
                           int quality, BitWriter* out, int16_t* recon);
 
-/// Reverses EncodePlane into caller-owned storage of width*height samples —
-/// the zero-allocation decode path. An all-zero block skips dequantize and
-/// the IDCT: both map zero to exactly zero at every kernel level.
+/// Reverses EncodePlaneWithRecon into caller-owned storage of width*height
+/// samples — the zero-allocation decode path. An all-zero block skips
+/// dequantize and the IDCT: both map zero to exactly zero at every kernel
+/// level.
 [[nodiscard]] Status DecodePlaneInto(int width, int height, int quality,
                                      BitReader* in, int16_t* out);
 
-/// Reverses EncodePlane; output plane is width×height.
+/// Reverses EncodePlaneWithRecon; output plane is width×height.
 Result<std::vector<int16_t>> DecodePlane(int width, int height, int quality,
                                          BitReader* in);
 

@@ -60,6 +60,11 @@ Result<VideoFrame> DecodeDeltaFrame(const Buffer& data, const VideoFrame& ref,
       break;
     }
     if (i >= n) return Status::DataLoss("delta value past frame end");
+    // The encoder rounds a delta in [-255, 255] to the nearest step.
+    const int64_t max_q = (255 + step / 2) / step;
+    if (q.value() < -max_q || q.value() > max_q) {
+      return Status::DataLoss("delta out of range");
+    }
     int v = ref_data[i] + static_cast<int>(q.value()) * step;
     if (v < 0) v = 0;
     if (v > 255) v = 255;

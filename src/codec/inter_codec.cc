@@ -25,53 +25,58 @@ struct MotionVector {
   int dy = 0;
 };
 
-// Clamped sample fetch from a plane (replicating edges), so motion vectors
-// may point partially outside the frame.
-inline int SampleClamped(const PlaneView& plane, int x, int y) {
-  if (x < 0) x = 0;
-  if (x >= plane.width()) x = plane.width() - 1;
-  if (y < 0) y = 0;
-  if (y >= plane.height()) y = plane.height() - 1;
-  return plane.at(x, y);
+// The reference luma plane extended by `pad` samples on every side, each
+// border sample replicating the nearest edge sample: padded sample (x, y)
+// is the reference sample at (clamp(x, 0, w-1), clamp(y, 0, h-1)). With
+// pad = search_range every candidate block the search can reach lies
+// inside it, so no SAD needs a bounds test or a per-sample clamp.
+struct PaddedPlane {
+  const uint8_t* origin;  // sample (0, 0)
+  ptrdiff_t stride;
+};
+
+PaddedPlane PadPlaneInto(const PlaneView& plane, int pad, uint8_t* out) {
+  const int width = plane.width();
+  const int height = plane.height();
+  const ptrdiff_t stride = width + 2 * pad;
+  for (int y = -pad; y < height + pad; ++y) {
+    const uint8_t* src = plane.row(std::clamp(y, 0, height - 1));
+    uint8_t* dst = out + (y + pad) * stride;
+    std::memset(dst, src[0], static_cast<size_t>(pad));
+    std::memcpy(dst + pad, src, static_cast<size_t>(width));
+    std::memset(dst + pad + width, src[width - 1], static_cast<size_t>(pad));
+  }
+  return {out + pad * stride + pad, stride};
 }
 
 // Sum of absolute differences between the macroblock at (bx,by) in `cur`
-// and the block displaced by (dx,dy) in `ref`. The common case — a full
-// 16×16 block whose displaced twin lies entirely inside the frame — runs
-// on the strided SAD kernel; partial/edge blocks fall back to the clamped
-// scalar walk. Both paths compute the identical sum.
-int64_t MacroblockSad(const PlaneView& cur, const PlaneView& ref, int bx,
-                      int by, int dx, int dy) {
-  const int width = cur.width();
-  const int height = cur.height();
-  if (bx + kMacroblock <= width && by + kMacroblock <= height &&
-      bx + dx >= 0 && bx + dx + kMacroblock <= width && by + dy >= 0 &&
-      by + dy + kMacroblock <= height) {
-    return simd::ActiveKernels().sad16xh_u8(cur.row(by) + bx, width,
-                                            ref.row(by + dy) + (bx + dx),
-                                            width, kMacroblock);
+// and the block displaced by (dx,dy) in the padded reference. A block 16
+// samples wide is one kernel call; a block cut short by the right edge
+// walks its samples.
+int64_t MacroblockSad(const simd::CodecKernels& kernels, const PlaneView& cur,
+                      const PaddedPlane& ref, int bx, int by, int bw, int bh,
+                      int dx, int dy) {
+  const uint8_t* a = cur.row(by) + bx;
+  const uint8_t* b = ref.origin + (by + dy) * ref.stride + (bx + dx);
+  if (bw == kMacroblock) {
+    return kernels.sad16xh_u8(a, cur.width(), b, ref.stride, bh);
   }
   int64_t sad = 0;
-  for (int y = 0; y < kMacroblock; ++y) {
-    const int cy = by + y;
-    if (cy >= height) break;
-    for (int x = 0; x < kMacroblock; ++x) {
-      const int cx = bx + x;
-      if (cx >= width) break;
-      const int a = cur.at(cx, cy);
-      const int b = SampleClamped(ref, cx + dx, cy + dy);
-      sad += std::abs(a - b);
-    }
+  for (int y = 0; y < bh; ++y, a += cur.width(), b += ref.stride) {
+    for (int x = 0; x < bw; ++x) sad += std::abs(a[x] - b[x]);
   }
   return sad;
 }
 
 // Three-step search: classic logarithmic motion estimation. Returns the
-// best vector within ±range.
-MotionVector ThreeStepSearch(const PlaneView& cur, const PlaneView& ref,
+// best vector within ±range; `ref` must be padded by at least `range`.
+MotionVector ThreeStepSearch(const simd::CodecKernels& kernels,
+                             const PlaneView& cur, const PaddedPlane& ref,
                              int bx, int by, int range) {
+  const int bw = std::min(kMacroblock, cur.width() - bx);
+  const int bh = std::min(kMacroblock, cur.height() - by);
   MotionVector best;
-  int64_t best_sad = MacroblockSad(cur, ref, bx, by, 0, 0);
+  int64_t best_sad = MacroblockSad(kernels, cur, ref, bx, by, bw, bh, 0, 0);
   int step = range / 2;
   if (step < 1) step = 1;
   while (step >= 1) {
@@ -83,7 +88,8 @@ MotionVector ThreeStepSearch(const PlaneView& cur, const PlaneView& ref,
         const int cx = best.dx + dx * step;
         const int cy = best.dy + dy * step;
         if (std::abs(cx) > range || std::abs(cy) > range) continue;
-        const int64_t sad = MacroblockSad(cur, ref, bx, by, cx, cy);
+        const int64_t sad =
+            MacroblockSad(kernels, cur, ref, bx, by, bw, bh, cx, cy);
         if (sad < round_sad) {
           round_sad = sad;
           round_best = {cx, cy};
@@ -102,7 +108,7 @@ MotionVector ThreeStepSearch(const PlaneView& cur, const PlaneView& ref,
 // width×height bytes. Macroblocks whose displaced source sits fully inside
 // the frame copy row-wise; an edge macroblock clamps each source row once
 // and fills it as (replicated first sample | copied span | replicated last
-// sample), which is SampleClamped evaluated per pixel.
+// sample), which is the per-pixel edge clamp evaluated a row at a time.
 void PredictPlaneInto(const PlaneView& ref,
                       const std::vector<MotionVector>& mvs, int mb_cols,
                       uint8_t* out) {
@@ -119,9 +125,13 @@ void PredictPlaneInto(const PlaneView& ref,
       if (bx + mv.dx >= 0 && bx + mv.dx + bw <= width && by + mv.dy >= 0 &&
           by + mv.dy + bh <= height) {
         for (int y = 0; y < bh; ++y) {
-          std::memcpy(out + static_cast<size_t>(by + y) * width + bx,
-                      ref.row(by + y + mv.dy) + (bx + mv.dx),
-                      static_cast<size_t>(bw));
+          uint8_t* dst = out + static_cast<size_t>(by + y) * width + bx;
+          const uint8_t* src = ref.row(by + y + mv.dy) + (bx + mv.dx);
+          if (bw == kMacroblock) {
+            std::memcpy(dst, src, kMacroblock);  // a constant-size move
+          } else {
+            std::memcpy(dst, src, static_cast<size_t>(bw));
+          }
         }
       } else {
         const int sx = bx + mv.dx;  // source column of dst[0]
@@ -144,11 +154,6 @@ void PredictPlaneInto(const PlaneView& ref,
   }
 }
 
-struct PFrameData {
-  std::vector<MotionVector> mvs;
-  // Residual plane bitstream is appended after the vectors in `data`.
-};
-
 // Encodes a P-frame: motion vectors from plane 0, shared across planes;
 // residuals transform-coded per plane. Returns the encoded bits and the
 // reconstructed frame (which becomes the next reference). All plane data
@@ -165,17 +170,23 @@ Buffer EncodePFrame(const VideoFrame& cur, const VideoFrame& recon_ref,
   const int mb_cols = (width + kMacroblock - 1) / kMacroblock;
   const int mb_rows = (height + kMacroblock - 1) / kMacroblock;
 
-  // Plane views are borrowed once per frame — motion search and every
-  // per-plane pass below read the frames in place.
+  // The motion search reads the current luma in place and the reference
+  // luma through a pooled copy padded by the search range.
   const PlaneView cur_luma = cur.plane(0);
-  const PlaneView ref_luma = recon_ref.plane(0);
-
   std::vector<MotionVector> mvs;
   mvs.reserve(static_cast<size_t>(mb_cols) * mb_rows);
-  for (int my = 0; my < mb_rows; ++my) {
-    for (int mx = 0; mx < mb_cols; ++mx) {
-      mvs.push_back(ThreeStepSearch(cur_luma, ref_luma, mx * kMacroblock,
-                                    my * kMacroblock, search_range));
+  {
+    BufferPool::BytesLease padded(
+        &pool, static_cast<size_t>(width + 2 * search_range) *
+                   (height + 2 * search_range));
+    const PaddedPlane ref_luma =
+        PadPlaneInto(recon_ref.plane(0), search_range, padded->data());
+    for (int my = 0; my < mb_rows; ++my) {
+      for (int mx = 0; mx < mb_cols; ++mx) {
+        mvs.push_back(ThreeStepSearch(kernels, cur_luma, ref_luma,
+                                      mx * kMacroblock, my * kMacroblock,
+                                      search_range));
+      }
     }
   }
 
@@ -341,11 +352,7 @@ Result<EncodedVideo> InterCodec::Encode(const VideoValue& value,
     EncodedFrame ef;
     if (i % params.gop_size == 0) {
       ef.is_intra = true;
-      ef.data = IntraCodec::EncodeFrame(frame, params.quality);
-      AVDB_ASSIGN_OR_RETURN(
-          recon, IntraCodec::DecodeFrame(ef.data, frame.width(),
-                                         frame.height(), frame.depth_bits(),
-                                         params.quality));
+      ef.data = IntraCodec::EncodeFrame(frame, params.quality, &recon);
     } else {
       ef.is_intra = false;
       VideoFrame new_recon;

@@ -33,19 +33,26 @@ class IntraDecoderSession final : public VideoDecoderSession {
   int64_t decoded_ = 0;
 };
 
-/// Entropy-codes one colour plane into its own byte-aligned buffer. The
-/// plane is read in place through a zero-copy view; the centered scratch
-/// and the output backing store are pooled, so a warm encode allocates
-/// nothing.
-Buffer EncodePlaneBits(const VideoFrame& frame, int p, int quality) {
+/// Entropy-codes one colour plane into its own byte-aligned buffer and, if
+/// `recon` is non-null, writes the decoder-exact plane into its plane `p`.
+/// The plane is read in place through a zero-copy view; the centered scratch
+/// (which the reconstruction overwrites in place) and the output backing
+/// store are pooled, so a warm encode allocates nothing.
+Buffer EncodePlaneBits(const VideoFrame& frame, int p, int quality,
+                       VideoFrame* recon) {
   BufferPool& pool = BufferPool::Shared();
+  const simd::CodecKernels& kernels = simd::ActiveKernels();
   const PlaneView plane = frame.plane(p);
   BufferPool::I16Lease centered(&pool, plane.size());
-  simd::ActiveKernels().u8_to_i16_center(plane.data(), centered->data(),
-                                         plane.size());
+  kernels.u8_to_i16_center(plane.data(), centered->data(), plane.size());
   BitWriter writer(pool.AcquireBuffer(plane.size() / 2));
-  block_transform::EncodePlane(centered->data(), frame.width(),
-                               frame.height(), quality, &writer);
+  block_transform::EncodePlaneWithRecon(
+      centered->data(), frame.width(), frame.height(), quality, &writer,
+      recon != nullptr ? centered->data() : nullptr);
+  if (recon != nullptr) {
+    const PlaneSpan out = recon->plane_span(p);
+    kernels.i16_center_to_u8(centered->data(), out.data(), out.size());
+  }
   return writer.Finish();
 }
 
@@ -65,12 +72,16 @@ Status DecodePlaneBits(const uint8_t* bits, size_t size, int p, int quality,
 
 }  // namespace
 
-Buffer IntraCodec::EncodeFrame(const VideoFrame& frame, int quality) {
+Buffer IntraCodec::EncodeFrame(const VideoFrame& frame, int quality,
+                               VideoFrame* recon) {
+  if (recon != nullptr) {
+    *recon = VideoFrame(frame.width(), frame.height(), frame.depth_bits());
+  }
   const int planes = frame.plane_count();
   std::vector<Buffer> plane_bits;
   plane_bits.reserve(static_cast<size_t>(planes));
   for (int p = 0; p < planes; ++p) {
-    plane_bits.push_back(EncodePlaneBits(frame, p, quality));
+    plane_bits.push_back(EncodePlaneBits(frame, p, quality, recon));
   }
   Buffer out;
   size_t total = 0;

@@ -25,8 +25,11 @@ class IntraCodec final : public VideoCodec {
       const EncodedVideo& video) const override;
 
   /// Encodes one frame independently (shared with the inter codec's
-  /// I-frames and the streaming encoder activity).
-  static Buffer EncodeFrame(const VideoFrame& frame, int quality);
+  /// I-frames and the streaming encoder activity). A non-null `recon`
+  /// receives the frame DecodeFrame would return for the result, without
+  /// parsing it back.
+  static Buffer EncodeFrame(const VideoFrame& frame, int quality,
+                            VideoFrame* recon = nullptr);
 
   /// Decodes one independently coded frame of the given geometry.
   static Result<VideoFrame> DecodeFrame(const Buffer& data, int width,

@@ -163,7 +163,8 @@ TEST(BlockTransformTest, PlaneRoundTripAtHighQuality) {
     for (int x = 0; x < w; ++x) plane[y * w + x] = static_cast<int16_t>((x * 9 + y * 5) % 200 - 100);
   }
   BitWriter writer;
-  block_transform::EncodePlane(plane, w, h, 100, &writer);
+  block_transform::EncodePlaneWithRecon(plane.data(), w, h, 100, &writer,
+                                        nullptr);
   Buffer bits = writer.Finish();
   BitReader reader(bits);
   auto decoded = block_transform::DecodePlane(w, h, 100, &reader);
@@ -176,7 +177,8 @@ TEST(BlockTransformTest, PlaneRoundTripAtHighQuality) {
 TEST(BlockTransformTest, TruncatedStreamFailsCleanly) {
   std::vector<int16_t> plane(64, 50);
   BitWriter writer;
-  block_transform::EncodePlane(plane, 8, 8, 75, &writer);
+  block_transform::EncodePlaneWithRecon(plane.data(), 8, 8, 75, &writer,
+                                        nullptr);
   Buffer bits = writer.Finish();
   Buffer truncated;
   truncated.AppendBytes(bits.data(), bits.size() / 2);
@@ -792,6 +794,15 @@ uint64_t StreamDigest(const EncodedVideo& video) {
   return FastHash64(digests.data(), digests.size());
 }
 
+// The clip the decoded-frame pins run on: a diagonal gradient drifting
+// every frame at a size that is not a multiple of 8 or 16, so P-frames
+// carry motion vectors that point past the frame edge and residual planes
+// with all-zero blocks (simd_kernels_test checks both properties).
+std::shared_ptr<RawVideoValue> DecodePinClip() {
+  const auto type = MediaDataType::RawVideo(44, 28, 24, Rational(10));
+  return GenerateVideo(type, 9, VideoPattern::kMovingGradient, 7).value();
+}
+
 // Pins the stored bytes of the intra, inter and scalable codecs on a fixed
 // clip. The constants were captured before the codecs lost their parallel
 // paths, so this shows the per-plane u32 framing survived unchanged.
@@ -812,15 +823,25 @@ TEST(WireFormatTest, EncodedBytesArePinned) {
   EXPECT_EQ(intra, 0x3d46b28421eefbc0ull) << std::hex << intra;
   EXPECT_EQ(inter, 0xa5aeb29bc0456c34ull) << std::hex << inter;
   EXPECT_EQ(scalable, 0xb14ff9c2534ccb87ull) << std::hex << scalable;
-}
 
-// The clip the decoded-frame pins run on: a diagonal gradient drifting
-// every frame at a size that is not a multiple of 8 or 16, so P-frames
-// carry motion vectors that point past the frame edge and residual planes
-// with all-zero blocks (simd_kernels_test checks both properties).
-std::shared_ptr<RawVideoValue> DecodePinClip() {
-  const auto type = MediaDataType::RawVideo(44, 28, 24, Rational(10));
-  return GenerateVideo(type, 9, VideoPattern::kMovingGradient, 7).value();
+  // Partial macroblocks and edge-crossing candidates at the smallest, a
+  // middling and the largest search range; captured before the motion
+  // search moved onto an edge-padded reference.
+  auto clip = DecodePinClip();
+  const struct {
+    int search_range;
+    uint64_t digest;
+  } searches[] = {{1, 0x2ad4a9cabc030ffeull},
+                  {8, 0x771a47031bfaf5e4ull},
+                  {64, 0xc28f1c7311ecffb9ull}};
+  for (const auto& search : searches) {
+    params.search_range = search.search_range;
+    const uint64_t digest =
+        StreamDigest(InterCodec().Encode(*clip, params).value());
+    EXPECT_EQ(digest, search.digest)
+        << "search_range " << search.search_range << ": " << std::hex
+        << digest;
+  }
 }
 
 // FastHash64 of every frame `codec` decodes from its own encoding of

@@ -14,6 +14,7 @@
 #include "base/rng.h"
 #include "codec/audio_codec.h"
 #include "codec/bitio.h"
+#include "codec/delta_codec.h"
 #include "codec/inter_codec.h"
 #include "codec/registry.h"
 #include "codec/scalable_codec.h"
@@ -132,6 +133,90 @@ TEST(HostileStreamTest, OutOfRangeSymbolsInAStoredStreamAreDataLoss) {
   ASSERT_TRUE(decode_p_frame({"control", 64, -5, 62, -9}).ok());
   for (const Case& c : cases) {
     EXPECT_EQ(decode_p_frame(c).code(), StatusCode::kDataLoss) << c.what;
+  }
+}
+
+// The ADPCM chunk header stores each channel's step index in a byte, but
+// the step table has 89 entries: a stored index past 88 is corrupt.
+TEST(HostileStreamTest, AdpcmStepIndexPastTableIsDataLoss) {
+  auto raw = GenerateAudio(MediaDataType::VoiceAudio(), 600,
+                           AudioPattern::kSpeechLike)
+                 .value();
+  const AdpcmCodec codec;
+  const EncodedAudio good = codec.Encode(*raw).value();
+  auto decode_with_index = [&](uint8_t index) {
+    EncodedAudio hostile = good;
+    hostile.chunks[0][2] = index;  // channel 0: u16 predictor, u8 index
+    return codec.DecodeChunk(hostile, 0).status();
+  };
+  EXPECT_TRUE(decode_with_index(88).ok());
+  EXPECT_EQ(decode_with_index(89).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(decode_with_index(255).code(), StatusCode::kDataLoss);
+}
+
+// A delta frame's quantized value is bounded by what the encoder's rounding
+// of a delta in [-255, 255] can produce; a crafted 2^30 must be DataLoss
+// (its product with the step once overflowed an int).
+TEST(HostileStreamTest, DeltaPastEncoderRangeIsDataLoss) {
+  const auto type = MediaDataType::RawVideo(8, 8, 8, Rational(10));
+  auto raw = GenerateVideo(type, 2, VideoPattern::kMovingBox).value();
+  VideoCodecParams params;
+  params.quality = 50;  // step 8
+  ASSERT_EQ(DeltaCodec::StepForQuality(params.quality), 8);
+  const EncodedVideo good = DeltaCodec().Encode(*raw, params).value();
+  auto decode_with_delta = [&](int64_t q) {
+    BitWriter w;
+    w.WriteVarint(0);  // run
+    w.WriteSignedVarint(q);
+    w.WriteVarint(0);  // terminator
+    w.WriteSignedVarint(0);
+    EncodedVideo hostile = good;
+    hostile.frames[1].data = w.Finish();
+    auto session = DeltaCodec().NewDecoder(hostile).value();
+    return session->DecodeFrame(1).status();
+  };
+  const int64_t max_q = (255 + 8 / 2) / 8;
+  EXPECT_TRUE(decode_with_delta(max_q).ok());
+  EXPECT_TRUE(decode_with_delta(-max_q).ok());
+  EXPECT_EQ(decode_with_delta(max_q + 1).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(decode_with_delta(-max_q - 1).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(decode_with_delta(int64_t{1} << 30).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(decode_with_delta(-(int64_t{1} << 30)).code(),
+            StatusCode::kDataLoss);
+}
+
+// The delta bound must not refuse what the encoder writes: a clip swinging
+// between black and white carries the largest deltas (the encoder emits
+// q = 16 at step 16 for a delta of 255), and decodes at every quality to
+// within half a step of the source.
+TEST(HostileStreamTest, FullSwingDeltaClipRoundTripsAtEveryQuality) {
+  const auto type = MediaDataType::RawVideo(8, 8, 8, Rational(10));
+  std::vector<VideoFrame> frames;
+  for (int i = 0; i < 6; ++i) {
+    VideoFrame frame(8, 8, 8);
+    std::fill(frame.data().begin(), frame.data().end(),
+              static_cast<uint8_t>(i % 2 == 0 ? 0 : 255));
+    frames.push_back(std::move(frame));
+  }
+  auto raw = RawVideoValue::FromFrames(type, frames).value();
+  for (int quality = 1; quality <= 100; ++quality) {
+    VideoCodecParams params;
+    params.quality = quality;
+    const int step = DeltaCodec::StepForQuality(quality);
+    const EncodedVideo encoded = DeltaCodec().Encode(*raw, params).value();
+    auto session = DeltaCodec().NewDecoder(encoded).value();
+    for (int64_t i = 0; i < raw->FrameCount(); ++i) {
+      auto decoded = session->DecodeFrame(i);
+      ASSERT_TRUE(decoded.ok()) << "quality " << quality << " frame " << i
+                                << ": " << decoded.status().ToString();
+      const std::vector<uint8_t>& want = frames[static_cast<size_t>(i)].data();
+      const std::vector<uint8_t>& got = decoded.value().data();
+      for (size_t k = 0; k < want.size(); ++k) {
+        ASSERT_LE(std::abs(int{got[k]} - int{want[k]}), step / 2)
+            << "quality " << quality << " frame " << i;
+      }
+    }
   }
 }
 

@@ -246,9 +246,9 @@ TEST(SimdKernels, StridedSadMatchesScalar) {
 }
 
 TEST(SimdKernels, PlaneStreamsAreByteIdenticalAcrossLevels) {
-  // End-to-end: the full EncodePlane/DecodePlane path (gather, transform,
-  // quant, entropy) must emit identical bytes at every dispatch level, for
-  // plane shapes exercising every edge-block geometry.
+  // End-to-end: the full EncodePlaneWithRecon/DecodePlane path (gather,
+  // transform, quant, entropy) must emit identical bytes at every dispatch
+  // level, for plane shapes exercising every edge-block geometry.
   Rng rng(7007);
   KernelGuard guard;
   const struct {
@@ -264,8 +264,9 @@ TEST(SimdKernels, PlaneStreamsAreByteIdenticalAcrossLevels) {
     for (int quality : {25, 85}) {
       ASSERT_TRUE(simd::ForceKernelsForTest(KernelLevel::kScalar));
       BitWriter ref_writer;
-      block_transform::EncodePlane(plane, shape.width, shape.height, quality,
-                                   &ref_writer);
+      block_transform::EncodePlaneWithRecon(plane.data(), shape.width,
+                                            shape.height, quality,
+                                            &ref_writer, nullptr);
       const Buffer ref_bytes = ref_writer.Finish();
       BitReader ref_reader(ref_bytes);
       auto ref_decoded = block_transform::DecodePlane(
@@ -274,9 +275,13 @@ TEST(SimdKernels, PlaneStreamsAreByteIdenticalAcrossLevels) {
 
       for (KernelLevel level : SimdLevels()) {
         ASSERT_TRUE(simd::ForceKernelsForTest(level));
+        // Reconstructed in place over a copy of the input: the encoder's
+        // reconstruction must be exactly what the decoder produces.
+        std::vector<int16_t> recon = plane;
         BitWriter writer;
-        block_transform::EncodePlane(plane, shape.width, shape.height,
-                                     quality, &writer);
+        block_transform::EncodePlaneWithRecon(recon.data(), shape.width,
+                                              shape.height, quality, &writer,
+                                              recon.data());
         const Buffer bytes = writer.Finish();
         ASSERT_EQ(ref_bytes.size(), bytes.size())
             << KernelLevelName(level) << " " << shape.width << "x"
@@ -291,6 +296,9 @@ TEST(SimdKernels, PlaneStreamsAreByteIdenticalAcrossLevels) {
         ASSERT_TRUE(decoded.ok());
         ASSERT_EQ(ref_decoded.value(), decoded.value())
             << "decoded plane differs at " << KernelLevelName(level);
+        ASSERT_EQ(recon, decoded.value())
+            << "reconstruction differs from the decoder at "
+            << KernelLevelName(level);
       }
     }
   }
@@ -385,6 +393,33 @@ TEST(SimdKernels, InterStreamDecodesIdenticallyAcrossLevels) {
     for (size_t i = 0; i < ref.size(); ++i) {
       ASSERT_EQ(ref[i].data(), frames[i].data())
           << "frame " << i << " differs at " << KernelLevelName(level);
+    }
+  }
+}
+
+TEST(SimdKernels, InterStreamEncodesIdenticallyAcrossLevels) {
+  // The motion search runs its SAD kernel on every candidate, including
+  // those past the frame edge; each dispatch level must pick the same
+  // vectors and so write the scalar reference's bytes, at every search
+  // range WireFormatTest.EncodedBytesArePinned pins.
+  KernelGuard guard;
+  auto video = DecodePinClip();
+  for (int search_range : {1, 8, 64}) {
+    VideoCodecParams params;
+    params.quality = 80;
+    params.gop_size = 4;
+    params.search_range = search_range;
+    ASSERT_TRUE(simd::ForceKernelsForTest(KernelLevel::kScalar));
+    const EncodedVideo ref = InterCodec().Encode(*video, params).value();
+    for (KernelLevel level : SimdLevels()) {
+      ASSERT_TRUE(simd::ForceKernelsForTest(level));
+      const EncodedVideo stream = InterCodec().Encode(*video, params).value();
+      ASSERT_EQ(ref.frames.size(), stream.frames.size());
+      for (size_t i = 0; i < ref.frames.size(); ++i) {
+        ASSERT_TRUE(ref.frames[i].data == stream.frames[i].data)
+            << "frame " << i << " differs at " << KernelLevelName(level)
+            << ", search_range " << search_range;
+      }
     }
   }
 }
